@@ -14,7 +14,7 @@ import time
 
 from . import dsl, finite
 from . import groups as gr
-from .algebra import PmvAlgebra
+from .algebra import IntervalError, PmvAlgebra
 from .axioms import axiom_report
 from .finite import CapExceeded, FiniteMv
 from .reports import Report, canonical_json, rat_str
@@ -29,11 +29,7 @@ from .witnesses import (
     verify_hom,
 )
 
-COMMANDS = (
-    "check-axioms",
-    "classify",
-    "witness",
-    "lexify",
+FINITE_COMMANDS = (
     "ideals",
     "radical",
     "states",
@@ -42,6 +38,7 @@ COMMANDS = (
     "rdp2",
     "isomorphic",
 )
+COMMANDS = ("check-axioms", "classify", "witness", "lexify") + FINITE_COMMANDS
 
 
 class UsageError(ValueError):
@@ -67,19 +64,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args) -> object:
+def _check_cap(size, cap: int) -> None:
+    if size is not None and size > cap:
+        raise CapExceeded(f"algebra has {size} elements, cap is {cap}")
+
+
+def _build(text: str, cap=None) -> object:
+    """Parse and build an algebra expression.  With a cap, a finite algebra
+    whose size the expression determines is rejected before it is built;
+    any other expression is built, so its own errors are reported."""
+    node = dsl.parse(text)
+    if cap is not None:
+        _check_cap(dsl.finite_size(node), cap)
+    return dsl.build_algebra(node)
+
+
+def _load(args, cap=None) -> object:
     if args.table:
         with open(args.table) as fh:
-            return finite.parse_table(fh.read())
+            text = fh.read()
+        if cap is not None:
+            _check_cap(finite.table_size(text), cap)
+        return finite.parse_table(text)
     if args.dsl is None:
         raise UsageError("an algebra expression or --table is required")
-    return dsl.build_algebra(dsl.parse(args.dsl))
+    return _build(args.dsl, cap)
 
 
 def _need_finite(alg, cap: int) -> FiniteMv:
     fin = dsl.as_finite(alg)
-    if fin.size > cap:
-        raise CapExceeded(f"algebra has {fin.size} elements, cap is {cap}")
+    _check_cap(fin.size, cap)
     return fin
 
 
@@ -107,8 +121,8 @@ def _mask_entry(a: FiniteMv, info: finite.IdealInfo) -> dict:
 
 
 def _run_command(args) -> Report:
-    alg = _load(args)
     cmd = args.command
+    alg = _load(args, args.cap if cmd in FINITE_COMMANDS else None)
     if cmd == "check-axioms":
         if isinstance(alg, FiniteMv):
             return finite.check_axioms(alg)
@@ -120,7 +134,11 @@ def _run_command(args) -> Report:
             raise UsageError("classify needs --elem")
         value = dsl.build_elem(la.spec, dsl.parse_elem(args.elem))
         w = canonical_witness(la, _default_kind(args, la))
-        t = classify(w, la.algebra.elem(value))
+        try:
+            elem = la.algebra.elem(value)
+        except IntervalError as exc:
+            raise UsageError(f"--elem {exc}") from None
+        t = classify(w, elem)
         rep = Report("classify", "pass", seed=args.seed)
         rep.details["element"] = gr.fmt_elem(la.spec, value)
         rep.details["slice"] = gr.fmt_elem(la.base.spec, t)
@@ -205,8 +223,10 @@ def _run_command(args) -> Report:
         rep = Report("lexid", "pass")
         rows = []
         found = False
-        for info in finite.enumerate_ideals(a, args.cap):
-            ok, clauses = finite.is_lexicographic_ideal(a, info.mask)
+        infos = finite.enumerate_ideals(a, args.cap)
+        masks = [info.mask for info in infos]
+        for info in infos:
+            ok, clauses = finite.is_lexicographic_ideal(a, info.mask, masks)
             found = found or ok
             rows.append({"elements": a.mask_labels(info.mask),
                          "lexicographic": ok, "clauses": clauses})
@@ -223,7 +243,7 @@ def _run_command(args) -> Report:
     if cmd == "isomorphic":
         if args.other is None:
             raise UsageError("isomorphic needs --other with a second algebra")
-        b = _need_finite(dsl.build_algebra(dsl.parse(args.other)), args.cap)
+        b = _need_finite(_build(args.other, args.cap), args.cap)
         ok, bij = finite.brute_isomorphic(a, b)
         rep = Report("isomorphic", "pass" if ok else "fail")
         rep.details["sizes"] = [a.size, b.size]

@@ -356,6 +356,25 @@ def build_algebra(node: Node):
     raise TypeError(f"not an algebra node: {node!r}")
 
 
+def finite_size(node: Node) -> Optional[int]:
+    """The element count of the finite table an algebra node builds, read
+    off the AST without building it: chain(n) and gamma(Z, n) for a
+    positive integer n have n+1 elements, and prod multiplies.  None when
+    the node does not describe a valid finite algebra."""
+    if isinstance(node, ChainNode):
+        return node.n + 1
+    if isinstance(node, GammaNode):
+        u = node.unit
+        if node.group.kind == "Z" and isinstance(u, RatNode) and u.value.denominator == 1:
+            return u.value.numerator + 1 if u.value > 0 else None
+    if isinstance(node, ProdNode):
+        left, right = finite_size(node.left), finite_size(node.right)
+        if left is None or right is None:
+            return None
+        return left * right
+    return None
+
+
 def as_finite(alg, span=(1, 1)) -> FiniteMv:
     """Realize an algebra as a table; only Gamma(Z, n) intervals are finite."""
     if isinstance(alg, FiniteMv):

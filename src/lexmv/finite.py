@@ -5,8 +5,10 @@ suffices and x (.) y = neg(neg(x) (+) neg(y)).  Algebras are stored as
 plain tables, deliberately independent from the interval construction:
 the tables are the ground truth the symbolic side is checked against.
 
-Ideals are bitmasks over element indices; all enumerations are exhaustive
-and returned in sorted-mask order so reports are byte-stable.
+Ideals and subalgebras are bitmasks over element indices.  Enumerations
+are complete but polynomial in the size: ideals as the principal ideals,
+subalgebras by closure search.  They are returned in sorted-mask order so
+reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -247,7 +249,10 @@ def ideal_flags(a: FiniteMv, mask: int, all_ideals=None) -> IdealInfo:
 
 
 def enumerate_ideal_masks(a: FiniteMv) -> list:
-    return sorted(m for m in range(1 << a.size) if _is_ideal(a, m))
+    """Every ideal, as sorted masks.  An ideal of a finite algebra is the
+    ideal generated by the (+) of its members, since x <= x (+) y and
+    y <= x (+) y, so the principal ideals are all of them."""
+    return sorted({generated_normal_ideal(a, x) for x in range(a.size)})
 
 
 def enumerate_ideals(a: FiniteMv, cap: int = 12) -> list:
@@ -259,8 +264,10 @@ def enumerate_ideals(a: FiniteMv, cap: int = 12) -> list:
 
 
 def generated_normal_ideal(a: FiniteMv, x: int) -> int:
-    """{y : y <= m.x for some m}: the down-set of the stabilized truncated
-    multiple, expanded to (+)-closure as a safety fixpoint."""
+    """The ideal generated by x, {y : y <= m.x for some m}; it is normal
+    because finite pseudo MV-algebras are commutative.  Computed as the
+    down-set of the stabilized truncated multiple, expanded to (+)-closure
+    as a safety fixpoint."""
     acc, top = a.zero, a.zero
     for _ in range(a.size + 1):
         acc = a.oplus[acc][x]
@@ -415,31 +422,49 @@ def _closure(a: FiniteMv, seed_mask: int) -> int:
         mask = grown
 
 
+def _subalgebra_masks(a: FiniteMv, avoid: int = 0) -> list:
+    """Every subalgebra disjoint from `avoid`, as sorted masks, found by
+    closure search: start from the subalgebra {0, 1} and extend each one
+    found by one element at a time.  A subalgebra disjoint from `avoid`
+    lies above a chain of such one-element extensions, so extensions that
+    meet `avoid` need not be searched further."""
+    start = _closure(a, 0)
+    if start & avoid:
+        return []
+    found = {start}
+    todo = [start]
+    while todo:
+        s = todo.pop()
+        for x in range(a.size):
+            if (s | avoid) >> x & 1:
+                continue
+            t = _closure(a, s | 1 << x)
+            if not t & avoid and t not in found:
+                found.add(t)
+                todo.append(t)
+    return sorted(found)
+
+
 def has_complement(a: FiniteMv, mask: int) -> tuple:
     """(bool, subalgebra mask S) with S meeting <I> only in {0, 1} and
-    generating A together with <I>."""
+    generating A together with <I>; S is the smallest such mask."""
     gen = mask
     for i in range(a.size):
         if mask >> i & 1:
             gen |= generated_normal_ideal(a, i)
     trivial = 1 << a.zero | 1 << a.one
     full = (1 << a.size) - 1
-    for s in range(1 << a.size):
-        if s & (1 << a.zero) == 0 or s & (1 << a.one) == 0:
-            continue
-        if s & gen & ~trivial:
-            continue
-        if _closure(a, s) != s:
-            continue
+    for s in _subalgebra_masks(a, avoid=gen & ~trivial):
         if _closure(a, s | gen) == full:
             return True, s
     return False, None
 
 
-def is_lexicographic_ideal(a: FiniteMv, mask: int) -> tuple:
-    """(bool, clause dict): proper, commutative, strict, retractive, prime."""
+def is_lexicographic_ideal(a: FiniteMv, mask: int, all_ideals=None) -> tuple:
+    """(bool, clause dict): proper, commutative, strict, retractive, prime.
+    `all_ideals` (every ideal mask) is enumerated when not given."""
     full = (1 << a.size) - 1
-    info = ideal_flags(a, mask)
+    info = ideal_flags(a, mask, all_ideals)
     clauses = {
         "proper": mask != 1 << a.zero and mask != full,
         "commutative": info.commutative,
@@ -604,7 +629,7 @@ def format_table(a: FiniteMv) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table(text: str) -> FiniteMv:
+def _table_ints(text: str) -> list:
     toks = text.split()
     if not toks:
         raise TableError("empty table")
@@ -616,6 +641,19 @@ def parse_table(text: str) -> FiniteMv:
     need = 1 + m * m + m + 2
     if m < 1 or len(vals) != need:
         raise TableError(f"expected {need} integers for size {m}, got {len(vals)}")
+    return vals
+
+
+def table_size(text: str) -> int:
+    """The size a table text declares in its header, once its tokens are
+    checked as parse_table checks them, but before any table is built or
+    its axioms are checked."""
+    return _table_ints(text)[0]
+
+
+def parse_table(text: str) -> FiniteMv:
+    vals = _table_ints(text)
+    m = vals[0]
     body = vals[1:]
     op = tuple(tuple(body[i * m : (i + 1) * m]) for i in range(m))
     ng = tuple(body[m * m : m * m + m])

@@ -211,9 +211,8 @@ def finite_catalog(max_size):
     prods = []
     for a in out:
         for b in out:
-            p = finite.make_product(a, b)
-            if p.size <= max_size:
-                prods.append(p)
+            if a.size * b.size <= max_size:
+                prods.append(finite.make_product(a, b))
     return [a for a in out + prods if a.size <= max_size]
 
 

@@ -166,6 +166,37 @@ def test_cli_cap_exceeded(capsys):
     assert code == 0
 
 
+def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
+    # sizes the expression does not determine still reach the build and
+    # its own error
+    code, _ = run_cli(capsys, "run", "ideals", "prod(chain(2),gamma(Q,1))")
+    assert code == 2
+    small = tmp_path / "small.tbl"
+    small.write_text(finite.format_table(finite.make_chain(2)))
+    big = tmp_path / "big.tbl"
+    big.write_text(finite.format_table(finite.make_chain(12)))
+
+    def no_build(*args):
+        raise AssertionError("a table was built past the cap")
+
+    monkeypatch.setattr(finite, "make_chain", no_build)
+    monkeypatch.setattr(dsl, "make_chain", no_build)
+    for argv, size in [
+        (("ideals", "gamma(Z,100000)"), 100001),
+        (("rdp2", "prod(chain(3),prod(chain(2),chain(1)))"), 24),
+        (("isomorphic", "--table", str(small), "--other", "gamma(Z,50)"), 51),
+    ]:
+        code, out = run_cli(capsys, "run", *argv)
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["verdict"] == "cap-exceeded"
+        assert rep["details"]["reason"] == f"algebra has {size} elements, cap is 12"
+    monkeypatch.setattr(finite, "parse_table", no_build)
+    code, out = run_cli(capsys, "run", "states", "--table", str(big))
+    assert code == 1
+    assert json.loads(out)["details"]["reason"] == "algebra has 13 elements, cap is 12"
+
+
 def test_cli_byte_identical_runs(capsys):
     argv = ("run", "witness", "gamma(lex(Z,Z),(2,1))", "--samples", "50", "--seed", "3")
     code1, out1 = run_cli(capsys, *argv)
@@ -209,6 +240,14 @@ def test_cli_classify(capsys):
     assert rep["details"]["slice"] == "1"
     code, _ = run_cli(capsys, "run", "classify", "gamma(lex(Z,Z),(1,0))")
     assert code == 2
+
+
+def test_cli_classify_out_of_interval(capsys):
+    code = cli.main(["run", "classify", "gamma(lex(Z,Z),(1,0))", "--elem", "(2,0)"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "lexmv: --elem (2,0) outside [0, u] in gamma(lex(Z,Z),(1,0))\n"
 
 
 def test_cli_lexify_weak(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -23,6 +25,8 @@ from lexmv.finite import (
     quotient,
     radical_suite,
 )
+
+from test_acceptance import finite_catalog
 
 C2 = make_chain(2)
 C4 = make_chain(4)
@@ -243,3 +247,68 @@ def test_caps():
         enumerate_ideals(make_product(P22, C2), cap=12)
     with pytest.raises(finite.CapExceeded):
         check_rdp2(make_chain(12), cap=10)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force references: the 2^n subset scans the polynomial oracle replaced
+
+
+def brute_ideal_masks(a):
+    return sorted(m for m in range(1 << a.size) if finite._is_ideal(a, m))
+
+
+def brute_is_subalgebra(a, s):
+    if not (s >> a.zero & 1 and s >> a.one & 1):
+        return False
+    members = [i for i in range(a.size) if s >> i & 1]
+    return all(s >> a.neg[i] & 1 for i in members) and all(
+        s >> a.oplus[i][j] & 1 for i in members for j in members
+    )
+
+
+def brute_has_complement(a, mask):
+    gen = mask
+    for i in range(a.size):
+        if mask >> i & 1:
+            gen |= generated_normal_ideal(a, i)
+    trivial = 1 << a.zero | 1 << a.one
+    full = (1 << a.size) - 1
+    for s in range(1 << a.size):
+        if s & gen & ~trivial or not brute_is_subalgebra(a, s):
+            continue
+        if finite._closure(a, s | gen) == full:
+            return True, s
+    return False, None
+
+
+def relabel(a, rng):
+    """The same algebra with its element indices permuted."""
+    n = a.size
+    p = list(range(n))
+    rng.shuffle(p)
+    op = [[0] * n for _ in range(n)]
+    ng = [0] * n
+    labels = [""] * n
+    for x in range(n):
+        ng[p[x]] = p[a.neg[x]]
+        labels[p[x]] = a.labels[x]
+        for y in range(n):
+            op[p[x]][p[y]] = p[a.oplus[x][y]]
+    return FiniteMv(n, tuple(map(tuple, op)), tuple(ng), p[a.zero], p[a.one], tuple(labels))
+
+
+def test_polynomial_oracle_matches_brute_force():
+    rng = random.Random(2014)
+    tables = []
+    for a in finite_catalog(12):
+        tables += [a] + [relabel(a, rng) for _ in range(3)]
+    # two Boolean factors give ideals with more than one complement
+    c1 = make_chain(1)
+    tables.append(parse_table(format_table(relabel(make_product(c1, make_product(c1, C2)), rng))))
+    for a in tables:
+        masks = finite.enumerate_ideal_masks(a)
+        assert masks == brute_ideal_masks(a), str(a)
+        for m in masks:
+            assert has_complement(a, m) == brute_has_complement(a, m), (str(a), m)
+        closed = {s for s in range(1 << a.size) if brute_is_subalgebra(a, s)}
+        assert set(finite._subalgebra_masks(a)) == closed, str(a)
