@@ -42,16 +42,26 @@ class PmvAlgebra:
     def unit(self):
         return self.group.unit
 
+    @cached_property
+    def ops(self) -> gr.GroupOps:
+        return self.group.spec.ops
+
     def elem(self, value) -> "PmvElem":
+        """The element with this value, after checking its shape and its
+        membership in [0, u]."""
         return PmvElem(self, value)
 
-    @cached_property
-    def _zero_value(self):
-        return gr.zero(self.spec)
+    def _make(self, value) -> "PmvElem":
+        """The element with this value, unchecked: for values computed by
+        the operations of this algebra, which stay in [0, u]."""
+        e = object.__new__(PmvElem)
+        object.__setattr__(e, "algebra", self)
+        object.__setattr__(e, "value", value)
+        return e
 
     @property
     def zero(self) -> "PmvElem":
-        return self.elem(self._zero_value)
+        return self.elem(self.ops.zero)
 
     @property
     def one(self) -> "PmvElem":
@@ -67,30 +77,28 @@ class PmvAlgebra:
 
 @dataclass(frozen=True)
 class PmvElem:
-    """An element of Gamma(G, u), validated once, when it is built.
+    """An element of Gamma(G, u).
 
-    Construction checks the value's shape against the group spec and its
-    membership in [0, u], raising ShapeError or IntervalError.  The
-    operations below then work on values of elements that have passed
-    that check, and Gamma(G, u) is closed under them (Dvurecenskij,
-    "Pseudo MV-algebras are intervals in l-groups", J. Austral. Math.
-    Soc. 72, 2002), so they call the unchecked group ops (``gr._add``,
-    ``gr._neg``, ``gr._cmp``, ``gr._lattice``) instead of the public
-    ``g_*`` functions, which re-walk the shape of every operand.  Each
-    result is still a new PmvElem and is validated like any other.
+    Values are validated once, where they enter: ``alg.elem(value)`` (and
+    so ``zero``, ``one``, the DSL and witness families) checks the value's
+    shape against the group spec and its membership in [0, u], raising
+    ShapeError or IntervalError.  Gamma(G, u) is closed under the
+    operations below (Dvurecenskij, "Pseudo MV-algebras are intervals in
+    l-groups", J. Austral. Math. Soc. 72, 2002), so they compute with the
+    spec's compiled, unchecked ops (``alg.ops``) and build their results
+    with ``alg._make``, which does not re-validate them.
     """
 
     algebra: PmvAlgebra
     value: object
 
     def __post_init__(self):
-        spec = self.algebra.spec
-        gr.check_shape(spec, self.value)
-        if gr._cmp(spec, self.value, self.algebra._zero_value) < 0 or gr._cmp(
-            spec, self.value, self.algebra.unit
-        ) > 0:
+        alg = self.algebra
+        gr.check_shape(alg.spec, self.value)
+        ops = alg.ops
+        if ops.cmp(self.value, ops.zero) < 0 or ops.cmp(self.value, alg.unit) > 0:
             raise IntervalError(
-                f"{gr.fmt_elem(spec, self.value)} outside [0, u] in {self.algebra}"
+                f"{gr.fmt_elem(alg.spec, self.value)} outside [0, u] in {alg}"
             )
 
     def _same(self, other: "PmvElem") -> None:
@@ -101,7 +109,7 @@ class PmvElem:
 
     def cmp(self, other: "PmvElem") -> int:
         self._same(other)
-        return gr._cmp(self.algebra.spec, self.value, other.value)
+        return self.algebra.ops.cmp(self.value, other.value)
 
     def le(self, other: "PmvElem") -> bool:
         return self.cmp(other) <= 0
@@ -113,46 +121,43 @@ class PmvElem:
 
     def oplus(self, other: "PmvElem") -> "PmvElem":
         self._same(other)
-        spec, u = self.algebra.spec, self.algebra.unit
-        s = gr._add(spec, self.value, other.value)
-        return self.algebra.elem(gr._lattice(spec, s, u, "meet"))
+        alg = self.algebra
+        ops = alg.ops
+        return alg._make(ops.meet(ops.add(self.value, other.value), alg.unit))
 
     def odot(self, other: "PmvElem") -> "PmvElem":
         self._same(other)
-        spec, u = self.algebra.spec, self.algebra.unit
-        s = gr._add(spec, gr._add(spec, self.value, gr._neg(spec, u)), other.value)
-        return self.algebra.elem(gr._lattice(spec, s, self.algebra._zero_value, "join"))
+        alg = self.algebra
+        ops = alg.ops
+        s = ops.add(ops.add(self.value, ops.neg(alg.unit)), other.value)
+        return alg._make(ops.join(s, ops.zero))
 
     @property
     def minus(self) -> "PmvElem":
         # u - x
-        spec = self.algebra.spec
-        return self.algebra.elem(
-            gr._add(spec, self.algebra.unit, gr._neg(spec, self.value))
-        )
+        alg = self.algebra
+        ops = alg.ops
+        return alg._make(ops.add(alg.unit, ops.neg(self.value)))
 
     @property
     def tilde(self) -> "PmvElem":
         # -x + u
-        spec = self.algebra.spec
-        return self.algebra.elem(
-            gr._add(spec, gr._neg(spec, self.value), self.algebra.unit)
-        )
+        alg = self.algebra
+        ops = alg.ops
+        return alg._make(ops.add(ops.neg(self.value), alg.unit))
 
     def negations(self) -> tuple["PmvElem", "PmvElem"]:
         return (self.minus, self.tilde)
 
     def join(self, other: "PmvElem") -> "PmvElem":
         self._same(other)
-        return self.algebra.elem(
-            gr._lattice(self.algebra.spec, self.value, other.value, "join")
-        )
+        alg = self.algebra
+        return alg._make(alg.ops.join(self.value, other.value))
 
     def meet(self, other: "PmvElem") -> "PmvElem":
         self._same(other)
-        return self.algebra.elem(
-            gr._lattice(self.algebra.spec, self.value, other.value, "meet")
-        )
+        alg = self.algebra
+        return alg._make(alg.ops.meet(self.value, other.value))
 
     # -- partial structure --------------------------------------------------
 
@@ -165,11 +170,12 @@ class PmvElem:
         satisfies the partial-sum laws PE1-PE4 in general.)
         """
         self._same(other)
-        spec, u = self.algebra.spec, self.algebra.unit
-        s = gr._add(spec, self.value, other.value)
-        if gr._cmp(spec, s, u) > 0:
+        alg = self.algebra
+        ops = alg.ops
+        s = ops.add(self.value, other.value)
+        if ops.cmp(s, alg.unit) > 0:
             return None
-        return self.algebra.elem(s)
+        return alg._make(s)
 
     def __str__(self) -> str:
         return gr.fmt_elem(self.algebra.spec, self.value)
@@ -183,11 +189,10 @@ def residuals(x: PmvElem, y: PmvElem) -> tuple[PmvElem, PmvElem]:
     x._same(y)
     if not y.le(x):
         raise ValueError(f"residuals need y <= x, got y={y}, x={x}")
-    spec = x.algebra.spec
-    neg_y = gr._neg(spec, y.value)
-    left = x.algebra.elem(gr._add(spec, x.value, neg_y))
-    right = x.algebra.elem(gr._add(spec, neg_y, x.value))
-    return (left, right)
+    alg = x.algebra
+    ops = alg.ops
+    neg_y = ops.neg(y.value)
+    return (alg._make(ops.add(x.value, neg_y)), alg._make(ops.add(neg_y, x.value)))
 
 
 def oplus_via_pea(x: PmvElem, y: PmvElem) -> PmvElem:
@@ -244,9 +249,9 @@ def ord_of(x: PmvElem):
 
 
 def _ord(spec: GroupSpec, v, u):
-    zero_v = gr.zero(spec)
-    if gr.g_cmp(spec, v, zero_v) == 0:
-        return 1 if gr.g_cmp(spec, u, zero_v) == 0 else math.inf
+    ops = spec.ops
+    if ops.cmp(v, ops.zero) == 0:
+        return 1 if ops.cmp(u, ops.zero) == 0 else math.inf
     if spec.kind == "Z":
         return -(-u // v)
     if spec.kind == "Q":
@@ -255,12 +260,12 @@ def _ord(spec: GroupSpec, v, u):
         if v.slope == 1:
             return math.inf  # slope stays 1, unit slope is > 1
         hi = 1
-        while gr.g_cmp(spec, gr.g_nmul(spec, v, hi), u) < 0:
+        while ops.cmp(gr._nmul(ops, v, hi), u) < 0:
             hi *= 2
         lo = max(1, hi // 2)
         while lo < hi:
             mid = (lo + hi) // 2
-            if gr.g_cmp(spec, gr.g_nmul(spec, v, mid), u) >= 0:
+            if ops.cmp(gr._nmul(ops, v, mid), u) >= 0:
                 hi = mid
             else:
                 lo = mid + 1
@@ -269,16 +274,17 @@ def _ord(spec: GroupSpec, v, u):
     # most one extra step when the head lands exactly on the head unit.
     h, g = v
     uh, ug = u
-    if gr.g_cmp(spec.left, h, gr.zero(spec.left)) == 0:
-        if gr.g_cmp(spec.left, uh, gr.zero(spec.left)) == 0:
+    head, tail = spec.left.ops, spec.right.ops
+    if head.cmp(h, head.zero) == 0:
+        if head.cmp(uh, head.zero) == 0:
             return _ord(spec.right, g, ug)
         return math.inf
     n0 = _ord(spec.left, h, uh)
     if n0 is math.inf:
         return math.inf
-    c = gr.g_cmp(spec.left, gr.g_nmul(spec.left, h, n0), uh)
+    c = head.cmp(gr._nmul(head, h, n0), uh)
     if c > 0:
         return n0
-    if gr.g_cmp(spec.right, gr.g_nmul(spec.right, g, n0), ug) >= 0:
+    if tail.cmp(gr._nmul(tail, g, n0), ug) >= 0:
         return n0
     return n0 + 1

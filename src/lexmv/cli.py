@@ -17,7 +17,7 @@ from . import groups as gr
 from .algebra import IntervalError, PmvAlgebra
 from .axioms import axiom_report
 from .finite import CapExceeded, FiniteMv
-from .reports import Report, canonical_json, rat_str
+from .reports import Report, canonical_json
 from .witnesses import (
     LexAlgebra,
     WitnessError,
@@ -120,7 +120,16 @@ def _mask_entry(a: FiniteMv, info: finite.IdealInfo) -> dict:
     }
 
 
+def _check_flags(args) -> None:
+    # --samples 0 is accepted: a zero-instance run is a verdict question
+    for flag, value, least in (("--samples", args.samples, 0), ("--bound", args.bound, 0),
+                               ("--cap", args.cap, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
+
+
 def _run_command(args) -> Report:
+    _check_flags(args)
     cmd = args.command
     alg = _load(args, args.cap if cmd in FINITE_COMMANDS else None)
     if cmd == "check-axioms":
@@ -194,7 +203,7 @@ def _run_command(args) -> Report:
         rep = Report("states", "pass")
         rep.details["count"] = len(states)
         rep.details["states"] = [
-            {a.label(x): rat_str(s(x)) for x in range(a.size)} for s in states
+            {a.label(x): gr.fmt_rat(s(x)) for x in range(a.size)} for s in states
         ]
         for s in states:
             if not finite.state_is_additive(a, s):

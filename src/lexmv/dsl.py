@@ -142,10 +142,14 @@ class ProdNode(Node):
 # Parser
 
 
+MAX_NESTING = 100  # open parentheses; the parser recurses once per level
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+        self.open = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -153,6 +157,12 @@ class _Parser:
     def take(self) -> Token:
         t = self.toks[self.pos]
         self.pos += 1
+        if t.text == "(":
+            self.open += 1
+            if self.open > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
+        elif t.text == ")":
+            self.open -= 1
         return t
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
@@ -278,14 +288,11 @@ def print_ast(node: Node) -> str:
             return f"lex({print_ast(node.left)},{print_ast(node.right)})"
         return node.kind
     if isinstance(node, RatNode):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return gr.fmt_rat(node.value)
     if isinstance(node, PairNode):
         return f"({print_ast(node.left)},{print_ast(node.right)})"
     if isinstance(node, AffNode):
-        a = RatNode(value=node.slope)
-        b = RatNode(value=node.shift)
-        return f"aff({print_ast(a)},{print_ast(b)})"
+        return f"aff({gr.fmt_rat(node.slope)},{gr.fmt_rat(node.shift)})"
     if isinstance(node, GammaNode):
         return f"gamma({print_ast(node.group)},{print_ast(node.unit)})"
     if isinstance(node, ChainNode):

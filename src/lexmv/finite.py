@@ -66,12 +66,6 @@ class FiniteMv:
             return None
         return self.oplus[x][y]
 
-    def nmul(self, x: int, n: int) -> int:
-        acc = self.zero
-        for _ in range(n):
-            acc = self.oplus[acc][x]
-        return acc
-
     def ord_of(self, x: int) -> Optional[int]:
         """min{n : n.x = 1}, or None for infinite order."""
         acc = self.zero
@@ -266,8 +260,8 @@ def enumerate_ideals(a: FiniteMv, cap: int = 12) -> list:
 def generated_normal_ideal(a: FiniteMv, x: int) -> int:
     """The ideal generated by x, {y : y <= m.x for some m}; it is normal
     because finite pseudo MV-algebras are commutative.  Computed as the
-    down-set of the stabilized truncated multiple, expanded to (+)-closure
-    as a safety fixpoint."""
+    down-set of the stabilized truncated multiple m.x: that multiple is
+    (+)-idempotent, so its down-set is already closed under (+)."""
     acc, top = a.zero, a.zero
     for _ in range(a.size + 1):
         acc = a.oplus[acc][x]
@@ -276,20 +270,7 @@ def generated_normal_ideal(a: FiniteMv, x: int) -> int:
     for y in range(a.size):
         if a.le(y, top):
             mask |= 1 << y
-    while True:
-        grown = mask
-        for i in range(a.size):
-            if mask >> i & 1:
-                for j in range(a.size):
-                    if mask >> j & 1:
-                        grown |= 1 << a.oplus[i][j]
-        for y in range(a.size):
-            for i in range(a.size):
-                if grown >> i & 1 and a.le(y, i):
-                    grown |= 1 << y
-        if grown == mask:
-            return mask
-        mask = grown
+    return mask
 
 
 def radical_suite(a: FiniteMv) -> tuple:

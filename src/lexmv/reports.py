@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .groups import fmt_rat
+
 
 @dataclass
 class Report:
@@ -33,18 +35,9 @@ class Report:
         return self
 
 
-def rat_str(v) -> str:
-    """Exact decimal-free rendering: integers as "n", rationals as "p/q"."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return rat_str(obj)
+        return fmt_rat(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -17,47 +17,39 @@ DEFAULT_BOUND = 25
 
 
 def clamp(alg: PmvAlgebra, value) -> PmvElem:
-    """(value \\/ 0) /\\ u, projected into the interval."""
-    spec = alg.spec
-    v = gr.g_join(spec, value, gr.zero(spec))
-    v = gr.g_meet(spec, v, alg.unit)
-    return alg.elem(v)
+    """(value \\/ 0) /\\ u, projected into the interval.
+
+    value must have the spec's shape; it is not checked.  The result lies
+    in [0, u] for every such value, so it is built without elem()'s check.
+    """
+    ops = alg.ops
+    return alg._make(ops.meet(ops.join(value, ops.zero), alg.unit))
 
 
 def sample_elem(alg: PmvAlgebra, rng: random.Random, bound: int = DEFAULT_BOUND) -> PmvElem:
+    """A seeded draw from [0, u].  Every value is built inside the interval
+    (a clamp, a complement u - x of one, or an integer in [0, u]), so the
+    draws skip the elem() check."""
     spec = alg.spec
     mode = rng.randrange(6)
     if mode == 0:
         return alg.zero
     if mode == 1:
         return alg.one
-    if spec.kind == "lex" and mode == 2:
-        # head-zero slice: (0, g+) clamped
-        tail = gr.sample_group_elem(spec.right, rng, bound)
-        tail = gr.g_join(spec.right, tail, gr.zero(spec.right))
-        return clamp(alg, (gr.zero(spec.left), tail))
-    if spec.kind == "lex" and mode == 3:
-        # head-u slice: u minus a head-zero sample
-        tail = gr.sample_group_elem(spec.right, rng, bound)
-        tail = gr.g_join(spec.right, tail, gr.zero(spec.right))
-        low = clamp(alg, (gr.zero(spec.left), tail))
-        return alg.elem(gr.g_sub(spec, alg.unit, low.value))
+    if spec.kind == "lex" and mode in (2, 3):
+        # head-zero slice, or head-u slice as the complement of one
+        low = sample_zero_slice(alg, rng, bound)
+        return low if mode == 2 else low.minus
     if spec.kind == "Z":
         # uniform over the interval: clamping a wide range would pile the
         # mass on the endpoints of short chains
-        return alg.elem(rng.randint(0, min(alg.unit, bound)))
+        return alg._make(rng.randint(0, min(alg.unit, bound)))
     return clamp(alg, gr.sample_group_elem(spec, rng, bound))
 
 
-def sample_pairs(alg: PmvAlgebra, rng: random.Random, n: int, bound: int = DEFAULT_BOUND):
-    for _ in range(n):
-        yield sample_elem(alg, rng, bound), sample_elem(alg, rng, bound)
-
-
-def sample_triples(alg: PmvAlgebra, rng: random.Random, n: int, bound: int = DEFAULT_BOUND):
-    for _ in range(n):
-        yield (
-            sample_elem(alg, rng, bound),
-            sample_elem(alg, rng, bound),
-            sample_elem(alg, rng, bound),
-        )
+def sample_zero_slice(alg: PmvAlgebra, rng: random.Random, bound: int = DEFAULT_BOUND) -> PmvElem:
+    """A head-zero element (0, g) of a lex interval, with g >= 0, clamped."""
+    spec = alg.spec
+    tail_ops = spec.right.ops
+    tail = tail_ops.join(gr.sample_group_elem(spec.right, rng, bound), tail_ops.zero)
+    return clamp(alg, (spec.left.ops.zero, tail))

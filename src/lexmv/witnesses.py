@@ -14,13 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import groups as gr
 from .algebra import PmvAlgebra, PmvElem
 from .groups import GroupHom, GroupSpec, UnitalGroup
 from .reports import Report
-from .sampling import DEFAULT_BOUND, sample_elem
+from .sampling import DEFAULT_BOUND, sample_elem, sample_zero_slice
 
 
 class WitnessError(ValueError):
@@ -48,12 +49,14 @@ class LexAlgebra:
             raise WitnessError(f"base {self.base.spec} must be linear and Abelian")
         gr.check_shape(self.fiber, self.offset)
 
-    @property
+    @cached_property
     def spec(self) -> GroupSpec:
         return gr.lex(self.base.spec, self.fiber)
 
-    @property
+    @cached_property
     def algebra(self) -> PmvAlgebra:
+        """Built once, so elements from witness families, samples and maps
+        share one algebra object."""
         return PmvAlgebra(UnitalGroup(self.spec, (self.base.unit, self.offset)))
 
     @property
@@ -215,15 +218,6 @@ def check_cyclic(
     return rep
 
 
-def _sample_zero_slice(alg: PmvAlgebra, rng: random.Random, bound: int) -> PmvElem:
-    """A head-zero interval element (0, g) with g >= 0, clamped."""
-    spec = alg.spec
-    tail = gr.sample_group_elem(spec.right, rng, bound)
-    tail = gr.g_join(spec.right, tail, gr.zero(spec.right))
-    v = gr.g_meet(spec, (gr.zero(spec.left), tail), alg.unit)
-    return alg.elem(gr.g_join(spec, v, gr.zero(spec)))
-
-
 def theorem_suite(
     w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
 ) -> Report:
@@ -253,8 +247,8 @@ def theorem_suite(
     for _ in range(sample_budget):
         x = sample_elem(alg, rng, bound)
         y = sample_elem(alg, rng, bound)
-        i = _sample_zero_slice(alg, rng, bound)
-        j = _sample_zero_slice(alg, rng, bound)
+        i = sample_zero_slice(alg, rng, bound)
+        j = sample_zero_slice(alg, rng, bound)
         # (ii) surjectivity of M_v + M_t onto M_{v+t}: peel c_t off x
         t = sample_elem(base_alg, rng, bound).value
         v = gr.g_sub(hs, w.indexer(x), t)

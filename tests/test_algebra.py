@@ -219,3 +219,31 @@ def test_ops_match_checked_group_formulas():
                 left, right = residuals(x, y)
                 assert left.value == gr.g_sub(spec, xv, yv)
                 assert right.value == gr.g_add(spec, gr.g_neg(spec, yv), xv)
+
+
+BOUNDARY_CATALOG = TWIN_CATALOG + [
+    alg(gr.lex(gr.Z, gr.Z), (2, 0)),
+    alg(gr.lex(gr.Q, gr.Q), (Fraction(3, 2), 0)),
+    alg(gr.lex(gr.O, gr.AFF), (0, gr.Aff(3, 1))),
+    alg(gr.lex(gr.Z, gr.lex(gr.Q, gr.AFF)), (1, (0, gr.Aff(2, 0)))),
+]
+
+
+def test_unchecked_results_pass_the_boundary_check():
+    """Operation results and sampler draws are built without elem()'s
+    check, because Gamma(G, u) is closed under the operations; every one
+    of them must pass that check all the same."""
+    for a in BOUNDARY_CATALOG:
+        rng = random.Random(37)
+        for _ in range(200):
+            bound = rng.choice((0, 2, 25))
+            x, y = sample_elem(a, rng, bound), sample_elem(a, rng, bound)
+            built = [x, y, x.oplus(y), x.odot(y), x.minus, x.tilde, x.join(y), x.meet(y)]
+            p = x.partial_add(y)
+            if p is not None:
+                built.append(p)
+            if y.le(x):
+                built.extend(residuals(x, y))
+            for e in built:
+                assert e.algebra is a
+                assert a.elem(e.value) == e, (str(a), e.value)

@@ -280,3 +280,41 @@ def test_cli_lexid(capsys):
     code, out = run_cli(capsys, "run", "lexid", "prod(chain(2),chain(2))")
     assert code == 0
     assert json.loads(out)["details"]["exists"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-axioms", "gamma(Z,3)", "--samples", "-3"], "--samples must be >= 0, got -3"),
+        (["check-axioms", "gamma(Z,3)", "--bound", "-3"], "--bound must be >= 0, got -3"),
+        (["witness", "gamma(lex(Z,Z),(2,1))", "--bound", "-1"], "--bound must be >= 0, got -1"),
+        (["ideals", "chain(3)", "--cap", "0"], "--cap must be >= 1, got 0"),
+        (["ideals", "chain(3)", "--cap", "-1"], "--cap must be >= 1, got -1"),
+    ],
+)
+def test_cli_rejects_negative_numeric_flags(capsys, argv, message):
+    code = cli.main(["run", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"lexmv: {message}\n"
+
+
+def test_parser_nesting_limit(capsys):
+    deep = 3000
+    text = "gamma(lex(Z,Z)," + "(" * deep + "1" + ",1)" * deep + ")"
+    # gamma( is open, so the pair that opens level MAX_NESTING + 1 is number MAX_NESTING
+    col = len("gamma(lex(Z,Z),") + dsl.MAX_NESTING
+    with pytest.raises(ParseError, match=f"^1:{col}: nesting deeper than"):
+        parse(text)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_group("lex(Z," * deep + "Z" + ")" * deep)
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse("prod(" * deep + "chain(1)" + ",chain(1))" * deep)
+    assert cli.main(["run", "check-axioms", text, "--samples", "5"]) == 2
+    assert capsys.readouterr().err.startswith(f"lexmv: 1:{col}: nesting deeper than")
+    # the limit itself still parses and builds
+    n = dsl.MAX_NESTING - 1
+    node = parse("gamma(" + "lex(Z," * n + "Z" + ")" * n + "," + "(1," * n + "0" + ")" * n + ")")
+    assert print_ast(node).count("lex(") == n
+    build_algebra(node)

@@ -180,3 +180,207 @@ def test_hom_equal():
 def test_fmt_elem():
     assert gr.fmt_elem(ZZ, (1, -2)) == "(1,-2)"
     assert gr.fmt_elem(gr.AFF, gr.Aff(Fraction(1, 2), 3)) == "aff(1/2,3)"
+
+
+# ---------------------------------------------------------------------------
+# Reference twins of the compiled ops: the per-kind recursive definitions
+# the ops record replaced, kept here as the test-time reference.
+
+
+def ref_zero(spec):
+    if spec.kind == "lex":
+        return (ref_zero(spec.left), ref_zero(spec.right))
+    if spec.kind == "Aff":
+        return gr.AFF_ID
+    if spec.kind == "Q":
+        return Fraction(0)
+    return 0
+
+
+def ref_check_shape(spec, v) -> None:
+    ok = False
+    if spec.kind == "O":
+        ok = v == 0 and isinstance(v, int) and not isinstance(v, bool)
+    elif spec.kind == "Z":
+        ok = isinstance(v, int) and not isinstance(v, bool)
+    elif spec.kind == "Q":
+        ok = isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+    elif spec.kind == "Aff":
+        ok = isinstance(v, gr.Aff)
+    elif spec.kind == "lex":
+        if isinstance(v, tuple) and len(v) == 2:
+            ref_check_shape(spec.left, v[0])
+            ref_check_shape(spec.right, v[1])
+            ok = True
+    if not ok:
+        raise gr.ShapeError(f"value {v!r} does not match spec {spec}")
+
+
+def ref_add(spec, a, b):
+    if spec.kind == "lex":
+        return (ref_add(spec.left, a[0], b[0]), ref_add(spec.right, a[1], b[1]))
+    if spec.kind == "Aff":
+        return gr.Aff(a.slope * b.slope, a.slope * b.shift + a.shift)
+    return a + b
+
+
+def ref_neg(spec, a):
+    if spec.kind == "lex":
+        return (ref_neg(spec.left, a[0]), ref_neg(spec.right, a[1]))
+    if spec.kind == "Aff":
+        return gr.Aff(1 / a.slope, -a.shift / a.slope)
+    return -a
+
+
+def ref_cmp(spec, a, b) -> int:
+    if spec.kind == "lex":
+        c = ref_cmp(spec.left, a[0], b[0])
+        if c != 0:
+            return c
+        return ref_cmp(spec.right, a[1], b[1])
+    if spec.kind == "Aff":
+        if a.slope != b.slope:
+            return -1 if a.slope < b.slope else 1
+        if a.shift != b.shift:
+            return -1 if a.shift < b.shift else 1
+        return 0
+    if a == b:
+        return 0
+    return -1 if a < b else 1
+
+
+def ref_lattice(spec, a, b, which):
+    if spec.kind == "lex":
+        c = ref_cmp(spec.left, a[0], b[0])
+        if c == 0:
+            return (a[0], ref_lattice(spec.right, a[1], b[1], which))
+        lo, hi = (a, b) if c < 0 else (b, a)
+        return lo if which == "meet" else hi
+    c = ref_cmp(spec, a, b)
+    lo, hi = (a, b) if c <= 0 else (b, a)
+    return lo if which == "meet" else hi
+
+
+def ref_shape_ok(spec, v) -> bool:
+    try:
+        ref_check_shape(spec, v)
+    except gr.ShapeError:
+        return False
+    return True
+
+
+BASE_SPECS = (gr.O, gr.Z, gr.Q, gr.AFF)
+DEPTH1 = tuple(gr.lex(h, g) for h in BASE_SPECS for g in BASE_SPECS)
+TWIN_SPECS = (
+    BASE_SPECS
+    + DEPTH1
+    + (
+        gr.lex(gr.Z, gr.lex(gr.Q, gr.AFF)),
+        gr.lex(gr.lex(gr.Z, gr.Q), gr.Z),
+        gr.lex(gr.O, gr.lex(gr.O, gr.AFF)),
+        gr.lex(gr.lex(gr.O, gr.Q), gr.lex(gr.Z, gr.AFF)),
+        gr.lex(gr.Q, gr.lex(gr.Z, gr.lex(gr.O, gr.AFF))),
+        gr.lex(gr.lex(gr.lex(gr.Q, gr.Z), gr.O), gr.lex(gr.Q, gr.Q)),
+    )
+)
+
+
+def tie_prone_elem(spec, rng):
+    """Values from a small range, so that ties are common; Q values are a
+    mix of int and Fraction, where the tie rules decide which one a meet
+    or join returns."""
+    if spec.kind == "O":
+        return 0
+    if spec.kind == "Z":
+        return rng.randint(-2, 2)
+    if spec.kind == "Q":
+        n = rng.randint(-4, 4)
+        return n // 2 if rng.random() < 0.4 else Fraction(n, rng.choice((1, 2)))
+    if spec.kind == "Aff":
+        return gr.Aff(rng.choice((Fraction(1, 2), 1, 2)), rng.randint(-1, 1))
+    return (tie_prone_elem(spec.left, rng), tie_prone_elem(spec.right, rng))
+
+
+def test_compiled_ops_match_reference_twins():
+    """Results must agree with the twins in value and in type (repr tells
+    1 from Fraction(1)), so the tie rules are checked too."""
+    rng = random.Random(41)
+    for spec in TWIN_SPECS:
+        ops = spec.ops
+        assert repr(ops.zero) == repr(ref_zero(spec)) == repr(gr.zero(spec))
+        for _ in range(150):
+            if rng.random() < 0.5:
+                a, b = tie_prone_elem(spec, rng), tie_prone_elem(spec, rng)
+            else:
+                a, b = gr.sample_group_elem(spec, rng, 6), gr.sample_group_elem(spec, rng, 6)
+            assert ops.shape_ok(a) and ops.shape_ok(b)
+            assert repr(ops.add(a, b)) == repr(ref_add(spec, a, b)), (spec, a, b)
+            assert repr(ops.neg(a)) == repr(ref_neg(spec, a)), (spec, a)
+            assert ops.cmp(a, b) == ref_cmp(spec, a, b), (spec, a, b)
+            assert repr(ops.meet(a, b)) == repr(ref_lattice(spec, a, b, "meet")), (spec, a, b)
+            assert repr(ops.join(a, b)) == repr(ref_lattice(spec, a, b, "join")), (spec, a, b)
+            assert repr(gr.g_meet(spec, a, b)) == repr(ops.meet(a, b))
+            assert repr(gr.g_join(spec, a, b)) == repr(ops.join(a, b))
+
+
+def test_shape_ok_matches_reference_check_shape():
+    rng = random.Random(43)
+    odd = [True, False, 1.5, "1", None, [0, 0], (0,), (0, 0, 0), Fraction(1, 2), Fraction(2), -3,
+           gr.AFF_ID, (True, 0), (0, 1.0), ((0, 0), 0), (0, (0, gr.AFF_ID)), ((0, 0), (0, 0))]
+    pool = odd + [gr.sample_group_elem(s, rng, 3) for s in TWIN_SPECS for _ in range(3)]
+    pool += [tie_prone_elem(s, rng) for s in TWIN_SPECS for _ in range(3)]
+    for spec in TWIN_SPECS:
+        for v in pool:
+            want = ref_shape_ok(spec, v)
+            assert spec.ops.shape_ok(v) == want, (spec, v)
+            if want:
+                gr.check_shape(spec, v)
+            else:
+                with pytest.raises(gr.ShapeError):
+                    gr.check_shape(spec, v)
+
+
+def catalog_atomic_homs():
+    """Every atomic hom the catalog builds on the twin specs: identity,
+    zero, scale with several factors, and inject_right."""
+    homs = []
+    for spec in TWIN_SPECS:
+        homs.append(gr.identity_hom(spec))
+        homs.append(gr.zero_hom(spec, spec))
+        homs.append(gr.inject_right_hom(gr.Z, spec))
+    for spec in BASE_SPECS:
+        homs.append(gr.zero_hom(spec, gr.lex(gr.Q, gr.AFF)))
+        homs.append(gr.inject_right_hom(gr.O, spec))
+    for k in (0, 1, 2, 7):
+        homs.append(gr.scale_hom(gr.Z, k))
+    for k in (0, 1, 3, Fraction(1, 3), Fraction(5, 2)):
+        homs.append(gr.scale_hom(gr.Q, k))
+    return homs
+
+
+def test_atomic_homs_pass_the_sampled_check():
+    """Atomic kinds skip the sampled check at construction because they
+    are l-homomorphisms by construction; running it must change nothing."""
+    for h in catalog_atomic_homs():
+        h._sampled_validation()
+
+
+def test_sampled_check_still_guards_pairwise():
+    """A pairwise map with a non-injective head component is additive and
+    monotone but no l-homomorphism; only the sampled check catches it."""
+    with pytest.raises(gr.HomError):
+        gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
+    with pytest.raises(gr.HomError):
+        gr.pairwise_hom(gr.zero_hom(gr.Z, gr.Z), gr.scale_hom(gr.Z, 2))
+    p = gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.zero_hom(gr.Z, gr.Z))
+    assert gr.hom_apply(gr.hom_compose(p, gr.inject_right_hom(gr.Z, gr.Z)), 5) == (0, 0)
+
+
+def test_scale_presentation_types():
+    with pytest.raises(gr.HomError):
+        gr.scale_hom(gr.Q, 0.5)
+    with pytest.raises(gr.HomError):
+        gr.scale_hom(gr.Z, Fraction(2))
+    with pytest.raises(gr.HomError):
+        gr.scale_hom(gr.Q, "2")
+    assert gr.hom_apply(gr.scale_hom(gr.Q, Fraction(1, 2)), 3) == Fraction(3, 2)
