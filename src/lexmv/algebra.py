@@ -13,10 +13,8 @@ structure, not an error: the partial operations return None for
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from . import groups as gr
 from .groups import GroupSpec, UnitalGroup
@@ -69,10 +67,10 @@ class PmvAlgebra:
 
     def is_symmetric(self) -> bool:
         """Both negations coincide iff the unit is central in the group."""
-        return gr.center_contains(self.spec, self.unit)
+        return self.ops.central(self.unit)
 
     def __str__(self) -> str:
-        return f"gamma({self.spec},{gr.fmt_elem(self.spec, self.unit)})"
+        return f"gamma({self.spec},{self.ops.fmt(self.unit)})"
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ class PmvElem:
         ops = alg.ops
         if ops.cmp(self.value, ops.zero) < 0 or ops.cmp(self.value, alg.unit) > 0:
             raise IntervalError(
-                f"{gr.fmt_elem(alg.spec, self.value)} outside [0, u] in {alg}"
+                f"{ops.fmt(self.value)} outside [0, u] in {alg}"
             )
 
     def _same(self, other: "PmvElem") -> None:
@@ -178,7 +176,7 @@ class PmvElem:
         return alg._make(s)
 
     def __str__(self) -> str:
-        return gr.fmt_elem(self.algebra.spec, self.value)
+        return self.algebra.ops.fmt(self.value)
 
 
 def residuals(x: PmvElem, y: PmvElem) -> tuple[PmvElem, PmvElem]:
@@ -240,51 +238,7 @@ def ord_of(x: PmvElem):
     """The least n with n.x = 1, or math.inf.
 
     In any Gamma(G, u) the truncated sum satisfies n.x = (n*x) /\\ u, so
-    ord(x) = min{n : n*x >= u}; this closed form is computed per spec
-    (Z and Q directly, lex pairs head-first with one tail correction, Aff
-    by a doubling search on the geometrically growing slope).
+    ord(x) = min{n : n*x >= u}, which the spec's GroupOps.ord computes in
+    closed form.
     """
-    alg = x.algebra
-    return _ord(alg.spec, x.value, alg.unit)
-
-
-def _ord(spec: GroupSpec, v, u):
-    ops = spec.ops
-    if ops.cmp(v, ops.zero) == 0:
-        return 1 if ops.cmp(u, ops.zero) == 0 else math.inf
-    if spec.kind == "Z":
-        return -(-u // v)
-    if spec.kind == "Q":
-        return math.ceil(Fraction(u) / Fraction(v))
-    if spec.kind == "Aff":
-        if v.slope == 1:
-            return math.inf  # slope stays 1, unit slope is > 1
-        hi = 1
-        while ops.cmp(gr._nmul(ops, v, hi), u) < 0:
-            hi *= 2
-        lo = max(1, hi // 2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ops.cmp(gr._nmul(ops, v, mid), u) >= 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-    # lex pair: the head coordinate decides (head 0 -> infinity), with at
-    # most one extra step when the head lands exactly on the head unit.
-    h, g = v
-    uh, ug = u
-    head, tail = spec.left.ops, spec.right.ops
-    if head.cmp(h, head.zero) == 0:
-        if head.cmp(uh, head.zero) == 0:
-            return _ord(spec.right, g, ug)
-        return math.inf
-    n0 = _ord(spec.left, h, uh)
-    if n0 is math.inf:
-        return math.inf
-    c = head.cmp(gr._nmul(head, h, n0), uh)
-    if c > 0:
-        return n0
-    if tail.cmp(gr._nmul(tail, g, n0), ug) >= 0:
-        return n0
-    return n0 + 1
+    return x.algebra.ops.ord(x.value, x.algebra.unit)

@@ -13,10 +13,17 @@ the lexicographic order on (slope, shift), which is bi-invariant:
 translating on either side multiplies slopes by a positive factor and
 shifts by an affine map, both of which preserve the lexicographic
 comparison.
+
+Every rule that depends on the kind of group -- arithmetic, formatting,
+sampling, the centre, strong units, ord, states, and facts such as
+linearity -- lives in one GroupOps record: one KINDS entry per base kind,
+and a record that ``_compile`` composes from the two factors for lex.  A
+new base kind is one KINDS entry plus its keyword in the DSL.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -43,24 +50,9 @@ class GroupSpec:
     left: Optional["GroupSpec"] = None
     right: Optional["GroupSpec"] = None
 
-    @property
-    def is_linear(self) -> bool:
-        if self.kind == "lex":
-            # left factor is linear by construction
-            return self.right.is_linear
-        return True
-
-    @property
-    def is_abelian(self) -> bool:
-        if self.kind == "Aff":
-            return False
-        if self.kind == "lex":
-            return self.left.is_abelian and self.right.is_abelian
-        return True
-
     @cached_property
     def ops(self) -> "GroupOps":
-        """The compiled, unchecked operations of this group (see GroupOps)."""
+        """The compiled rules of this group (see GroupOps)."""
         return _compile(self)
 
     def __str__(self) -> str:
@@ -77,7 +69,7 @@ AFF = GroupSpec("Aff")
 
 def lex(left: GroupSpec, right: GroupSpec) -> GroupSpec:
     """Lexicographic pair H lex G; requires a linearly ordered left factor."""
-    if not left.is_linear:
+    if not left.ops.linear:
         raise ValueError(f"lex left factor must be linearly ordered, got {left}")
     return GroupSpec("lex", left, right)
 
@@ -117,16 +109,38 @@ def _aff(slope: Fraction, shift: Fraction) -> Aff:
     return f
 
 
+def fmt_rat(v) -> str:
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+    return str(v)
+
+
 # ---------------------------------------------------------------------------
-# Compiled operations
+# The kind table: one record of rules per group kind
 
 
 @dataclass(frozen=True, slots=True)
 class GroupOps:
-    """A spec's operations as plain functions without shape checks,
-    compiled once per spec (``spec.ops``).  cmp returns -1, 0 or 1: every
-    catalog group is linearly ordered.  On a tie, meet returns a and join
-    returns b; a lex meet or join whose heads tie keeps a's head."""
+    """Every rule of a group, compiled once per spec (``spec.ops``).  The
+    functions take values of the group's shape and do not check it.
+
+    zero, shape_ok, add, neg, cmp, meet, join: the l-group.  cmp returns
+      -1, 0 or 1: every catalog group is linearly ordered.  On a tie, meet
+      returns a and join returns b; a lex meet or join whose heads tie
+      keeps a's head.
+    fmt(v): v as a DSL literal.
+    sample(rng, bound): a seeded value, coordinates in about [-bound, bound].
+    central(v): membership in the commutative centre.
+    check_unit(u): for u >= 0, raises ValueError unless u is a strong unit.
+    ord(v, u): for 0 <= v <= u, the least n with n*v >= u, or math.inf.
+    state(u): the unique state t |-> s(t) of Gamma(G, u), or None where
+      there is no closed form.
+    scalars: the factors k of the scale homs a |-> k*a, as error messages
+      name them; None where the catalog has no scale hom.
+    abelian, linear, archimedean, trivial: facts about the group.
+    """
 
     zero: object
     shape_ok: Callable[[object], bool]
@@ -135,23 +149,33 @@ class GroupOps:
     cmp: Callable
     meet: Callable
     join: Callable
+    fmt: Callable[[object], str]
+    sample: Callable
+    central: Callable[[object], bool]
+    check_unit: Callable[[object], None]
+    ord: Callable
+    state: Callable
+    scalars: Optional[str]
+    abelian: bool
+    linear: bool
+    archimedean: bool
+    trivial: bool
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-_NUMBER_SHAPES = {
-    "O": lambda v: _is_int(v) and v == 0,
-    "Z": _is_int,
-    "Q": lambda v: isinstance(v, (int, Fraction)) and not isinstance(v, bool),
-}
-
-
 def _num_cmp(a, b) -> int:
     if a == b:
         return 0
     return -1 if a < b else 1
+
+
+def _num_ord(v, u):
+    if v == 0:
+        return 1 if u == 0 else math.inf
+    return -(-u // v)
 
 
 def _aff_cmp(a: Aff, b: Aff) -> int:
@@ -162,31 +186,108 @@ def _aff_cmp(a: Aff, b: Aff) -> int:
     return 0
 
 
+def _aff_add(a: Aff, b: Aff) -> Aff:
+    return _aff(a.slope * b.slope, a.slope * b.shift + a.shift)
+
+
+def _aff_ord(v: Aff, u: Aff):
+    if v.slope == 1:
+        # slope stays 1, and a unit's slope is > 1
+        return 1 if v == u == AFF_ID else math.inf
+    # n*v has slope v.slope**n: double, then bisect
+    hi = 1
+    while _aff_cmp(_nmul(_aff_add, AFF_ID, v, hi), u) < 0:
+        hi *= 2
+    lo = max(1, hi // 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _aff_cmp(_nmul(_aff_add, AFF_ID, v, mid), u) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _nmul(add, zero, a, n: int):
+    """The n-fold sum a + ... + a, n >= 0, by doubling."""
+    acc = zero
+    base = a
+    while n:
+        if n & 1:
+            acc = add(acc, base)
+        n >>= 1
+        if n:
+            base = add(base, base)
+    return acc
+
+
+def _require(ok, message: str):
+    """A check_unit raising ValueError(message) unless ok(u)."""
+    def check_unit(u) -> None:
+        if not ok(u):
+            raise ValueError(message)
+    return check_unit
+
+
+_AFF_SLOPES = tuple(map(Fraction, ("1/3", "1/2", "2/3", "1", "3/2", "2", "3")))
+
+_NUMBER = dict(
+    add=operator.add, neg=operator.neg, cmp=_num_cmp, meet=lambda a, b: b if b < a else a,
+    join=lambda a, b: a if b < a else b, fmt=fmt_rat, central=lambda v: True, ord=_num_ord,
+    abelian=True, linear=True, archimedean=True,
+)
+_num_state = lambda u: lambda t: Fraction(t) / u
+
+# The base kinds.  Strong units rest on a documented argument, not a
+# search: Z takes any u >= 1 and Q any u > 0 (both are Archimedean); Aff
+# takes any slope > 1, since the slopes of n*u grow geometrically and
+# eventually dominate any fixed slope (translations, slope 1, are not
+# strong units); O has only 0, the unit of the one-element algebra.
+KINDS = {
+    "O": GroupOps(
+        zero=0, shape_ok=lambda v: _is_int(v) and v == 0, sample=lambda rng, bound: 0,
+        check_unit=lambda u: None, state=lambda u: None, scalars=None, trivial=True, **_NUMBER,
+    ),
+    "Z": GroupOps(
+        zero=0, shape_ok=_is_int, sample=lambda rng, bound: rng.randint(-bound, bound),
+        check_unit=_require(lambda u: u >= 1, "strong unit of Z must be >= 1"),
+        state=_num_state, scalars="an integer", trivial=False, **_NUMBER,
+    ),
+    "Q": GroupOps(
+        zero=Fraction(0),
+        shape_ok=lambda v: isinstance(v, (int, Fraction)) and not isinstance(v, bool),
+        sample=lambda rng, bound: Fraction(rng.randint(-bound, bound), rng.randint(1, 8)),
+        check_unit=_require(lambda u: u > 0, "strong unit of Q must be > 0"),
+        state=_num_state, scalars="an integer or Fraction", trivial=False, **_NUMBER,
+    ),
+    "Aff": GroupOps(
+        zero=AFF_ID, shape_ok=lambda v: isinstance(v, Aff), add=_aff_add,
+        neg=lambda a: _aff(1 / a.slope, -a.shift / a.slope), cmp=_aff_cmp,
+        meet=lambda a, b: a if _aff_cmp(a, b) <= 0 else b,
+        join=lambda a, b: b if _aff_cmp(a, b) <= 0 else a,
+        fmt=lambda v: f"aff({fmt_rat(v.slope)},{fmt_rat(v.shift)})",
+        sample=lambda rng, bound: _aff(rng.choice(_AFF_SLOPES), Fraction(rng.randint(-bound, bound))),
+        # the centre is the identity alone: (a,b)+(1,1) = (a, a+b) and
+        # (1,1)+(a,b) = (a, b+1) force a = 1, and then (2,0) forces b = 0
+        central=lambda v: v == AFF_ID,
+        check_unit=_require(lambda u: u.slope > 1, "strong unit of Aff must have slope > 1"),
+        ord=_aff_ord, state=lambda u: None, scalars=None, abelian=False, linear=True,
+        archimedean=False, trivial=False,  # n*(1,1) = (1,n) < (2,0) for every n
+    ),
+}
+
+
 def _compile(spec: GroupSpec) -> GroupOps:
-    if spec.kind == "Aff":
-        return GroupOps(
-            AFF_ID,
-            lambda v: isinstance(v, Aff),
-            lambda a, b: _aff(a.slope * b.slope, a.slope * b.shift + a.shift),
-            lambda a: _aff(1 / a.slope, -a.shift / a.slope),
-            _aff_cmp,
-            lambda a, b: a if _aff_cmp(a, b) <= 0 else b,
-            lambda a, b: b if _aff_cmp(a, b) <= 0 else a,
-        )
+    """A base kind's record is its KINDS entry; a lex record composes the
+    records of its two factors."""
     if spec.kind != "lex":
-        return GroupOps(
-            Fraction(0) if spec.kind == "Q" else 0,
-            _NUMBER_SHAPES[spec.kind],
-            operator.add,
-            operator.neg,
-            _num_cmp,
-            lambda a, b: b if b < a else a,
-            lambda a, b: a if b < a else b,
-        )
+        return KINDS[spec.kind]
     head, tail = spec.left.ops, spec.right.ops
     h_ok, h_add, h_neg, h_cmp = head.shape_ok, head.add, head.neg, head.cmp
     t_ok, t_add, t_neg, t_cmp = tail.shape_ok, tail.add, tail.neg, tail.cmp
     t_meet, t_join = tail.meet, tail.join
+    h_fmt, t_fmt, h_sample, t_sample = head.fmt, tail.fmt, head.sample, tail.sample
+    h_zero = head.zero
 
     def shape_ok(v) -> bool:
         return isinstance(v, tuple) and len(v) == 2 and h_ok(v[0]) and t_ok(v[1])
@@ -212,7 +313,57 @@ def _compile(spec: GroupSpec) -> GroupOps:
             return (a[0], t_join(a[1], b[1]))
         return b if c < 0 else a
 
-    return GroupOps((head.zero, tail.zero), shape_ok, add, neg, cmp, meet, join)
+    def fmt(v) -> str:
+        return f"({h_fmt(v[0])},{t_fmt(v[1])})"
+
+    def sample(rng, bound):
+        return (h_sample(rng, bound), t_sample(rng, bound))
+
+    def central(v) -> bool:
+        return head.central(v[0]) and tail.central(v[1])
+
+    def check_unit(u) -> None:
+        # a positive head that is strong in H dominates every pair
+        # head-first; a zero head is allowed only over a trivial H
+        if h_cmp(u[0], h_zero) > 0:
+            head.check_unit(u[0])
+        elif head.trivial:
+            tail.check_unit(u[1])
+        else:
+            raise ValueError(f"strong unit of {spec} needs a positive head, got {fmt(u)}")
+
+    def ord_(v, u):
+        # the head decides (head 0 -> infinity, or the tail's ord when the
+        # head unit is 0 too), with at most one extra step when n0*h lands
+        # exactly on the head unit
+        h, g = v
+        uh, ug = u
+        if h == h_zero:
+            return tail.ord(g, ug) if uh == h_zero else math.inf
+        n0 = head.ord(h, uh)
+        if n0 is math.inf:
+            return n0
+        if h_cmp(_nmul(h_add, h_zero, h, n0), uh) > 0:
+            return n0
+        if t_cmp(_nmul(t_add, tail.zero, g, n0), ug) >= 0:
+            return n0
+        return n0 + 1
+
+    def state(u):
+        # a zero head unit means a trivial H: the tail carries the state
+        i = 1 if u[0] == h_zero else 0
+        s = (head, tail)[i].state(u[i])
+        return None if s is None else lambda t: s(t[i])
+
+    return GroupOps(
+        zero=(h_zero, tail.zero), shape_ok=shape_ok, add=add, neg=neg, cmp=cmp,
+        meet=meet, join=join, fmt=fmt, sample=sample, central=central,
+        check_unit=check_unit, ord=ord_, state=state, scalars=None,
+        abelian=head.abelian and tail.abelian,
+        linear=head.linear and tail.linear,
+        archimedean=(head.trivial and tail.archimedean) or (tail.trivial and head.archimedean),
+        trivial=head.trivial and tail.trivial,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +407,16 @@ def g_le(spec: GroupSpec, a, b) -> bool:
     return g_cmp(spec, a, b) <= 0
 
 
-def g_lattice(spec: GroupSpec, a, b, which: str):
-    """Join or meet.  For lex pairs the head comparison decides unless the
-    heads tie, in which case the lattice operation recurses on tails."""
-    if which not in ("join", "meet"):
-        raise ValueError(f"which must be 'join' or 'meet', got {which!r}")
+def g_join(spec: GroupSpec, a, b):
     check_shape(spec, a)
     check_shape(spec, b)
-    ops = spec.ops
-    return ops.meet(a, b) if which == "meet" else ops.join(a, b)
-
-
-def g_join(spec: GroupSpec, a, b):
-    return g_lattice(spec, a, b, "join")
+    return spec.ops.join(a, b)
 
 
 def g_meet(spec: GroupSpec, a, b):
-    return g_lattice(spec, a, b, "meet")
+    check_shape(spec, a)
+    check_shape(spec, b)
+    return spec.ops.meet(a, b)
 
 
 def g_nmul(spec: GroupSpec, a, n: int):
@@ -280,35 +424,22 @@ def g_nmul(spec: GroupSpec, a, n: int):
     if n < 0:
         raise ValueError("n must be non-negative")
     check_shape(spec, a)
-    return _nmul(spec.ops, a, n)
-
-
-def _nmul(ops: GroupOps, a, n: int):
-    """g_nmul without the checks, by doubling."""
-    acc = ops.zero
-    base = a
-    while n:
-        if n & 1:
-            acc = ops.add(acc, base)
-        n >>= 1
-        if n:
-            base = ops.add(base, base)
-    return acc
+    return _nmul(spec.ops.add, spec.ops.zero, a, n)
 
 
 def center_contains(spec: GroupSpec, a) -> bool:
-    """Exact membership in the commutative center, decided per variant.
-
-    Abelian variants: always.  Aff: only the identity map, since
-    (a,b)+(1,1) = (a, a+b) while (1,1)+(a,b) = (a, b+1) forces a = 1,
-    and then (2,0) forces b = 0.  Lex pairs: componentwise.
-    """
+    """Exact membership in the commutative center (GroupOps.central)."""
     check_shape(spec, a)
-    if spec.kind == "Aff":
-        return a == AFF_ID
-    if spec.kind == "lex":
-        return center_contains(spec.left, a[0]) and center_contains(spec.right, a[1])
-    return True
+    return spec.ops.central(a)
+
+
+def fmt_elem(spec: GroupSpec, v) -> str:
+    return spec.ops.fmt(v)
+
+
+def sample_group_elem(spec: GroupSpec, rng: random.Random, bound: int = 25):
+    """A seeded sample from the group, with coordinates in roughly [-bound, bound]."""
+    return spec.ops.sample(rng, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +448,7 @@ def center_contains(spec: GroupSpec, a) -> bool:
 
 @dataclass(frozen=True)
 class UnitalGroup:
-    """A catalog l-group with a fixed strong unit.
-
-    The strong-unit property is established per variant by a documented
-    argument, not a runtime search:
-      * Z: any u >= 1;  Q: any u > 0 (Archimedean).
-      * Aff: any unit with slope > 1 (slopes of n*u grow geometrically and
-        eventually dominate any fixed slope; translations, slope 1, are
-        not strong units and are rejected).
-      * lex(H, G): a unit with positive head that is strong in H dominates
-        every pair head-first; head zero is allowed only over H = O.
-    """
+    """A catalog l-group with a strong unit, checked by its GroupOps.check_unit."""
 
     spec: GroupSpec
     unit: object
@@ -337,84 +458,10 @@ class UnitalGroup:
         ops = self.spec.ops
         if ops.cmp(self.unit, ops.zero) < 0:
             raise ValueError(f"unit must be >= 0, got {self.unit!r}")
-        _validate_strong_unit(self.spec, self.unit)
+        ops.check_unit(self.unit)
 
     def __str__(self) -> str:
         return f"({self.spec},{fmt_elem(self.spec, self.unit)})"
-
-
-def _validate_strong_unit(spec: GroupSpec, u) -> None:
-    if spec.kind == "O":
-        return
-    if spec.kind == "Z":
-        if u < 1:
-            raise ValueError("strong unit of Z must be >= 1")
-    elif spec.kind == "Q":
-        if u <= 0:
-            raise ValueError("strong unit of Q must be > 0")
-    elif spec.kind == "Aff":
-        if u.slope <= 1:
-            raise ValueError("strong unit of Aff must have slope > 1")
-    elif spec.kind == "lex":
-        head = u[0]
-        if spec.left.ops.cmp(head, spec.left.ops.zero) > 0:
-            _validate_strong_unit(spec.left, head)
-        elif spec.left.kind == "O":
-            _validate_strong_unit(spec.right, u[1])
-        else:
-            raise ValueError(
-                f"strong unit of {spec} needs a positive head, got {fmt_elem(spec, u)}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Element formatting (mirrors the DSL literal grammar)
-
-
-def fmt_rat(v) -> str:
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
-def fmt_elem(spec: GroupSpec, v) -> str:
-    if spec.kind == "lex":
-        return f"({fmt_elem(spec.left, v[0])},{fmt_elem(spec.right, v[1])})"
-    if spec.kind == "Aff":
-        return f"aff({fmt_rat(v.slope)},{fmt_rat(v.shift)})"
-    return fmt_rat(v)
-
-
-# ---------------------------------------------------------------------------
-# Raw element sampling (group-level; interval sampling lives in sampling.py)
-
-_AFF_SLOPES = (
-    Fraction(1, 3),
-    Fraction(1, 2),
-    Fraction(2, 3),
-    Fraction(1),
-    Fraction(3, 2),
-    Fraction(2),
-    Fraction(3),
-)
-
-
-def sample_group_elem(spec: GroupSpec, rng: random.Random, bound: int = 25):
-    """A seeded sample from the group, with coordinates in roughly [-bound, bound]."""
-    if spec.kind == "O":
-        return 0
-    if spec.kind == "Z":
-        return rng.randint(-bound, bound)
-    if spec.kind == "Q":
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, 8))
-    if spec.kind == "Aff":
-        return Aff(rng.choice(_AFF_SLOPES), Fraction(rng.randint(-bound, bound)))
-    return (
-        sample_group_elem(spec.left, rng, bound),
-        sample_group_elem(spec.right, rng, bound),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +504,11 @@ class GroupHom:
             pass
         elif self.kind == "scale":
             (k,) = self.payload
-            if self.source != self.target or self.source.kind not in ("Z", "Q"):
+            scalars = self.source.ops.scalars
+            if self.source != self.target or scalars is None:
                 raise HomError("scale is only defined on Z or Q")
-            if self.source.kind == "Z" and not isinstance(k, int):
-                raise HomError("scale on Z needs an integer factor")
-            if not isinstance(k, (int, Fraction)):
-                raise HomError("scale on Q needs an integer or Fraction factor")
+            if not self.source.ops.shape_ok(k):
+                raise HomError(f"scale on {self.source} needs {scalars} factor")
             if k < 0:
                 raise HomError("scale factor must be >= 0 to preserve order")
         elif self.kind == "pairwise":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 
-from . import groups as gr
 from .algebra import PmvAlgebra, PmvElem
 
 DEFAULT_BOUND = 25
@@ -44,12 +43,12 @@ def sample_elem(alg: PmvAlgebra, rng: random.Random, bound: int = DEFAULT_BOUND)
         # uniform over the interval: clamping a wide range would pile the
         # mass on the endpoints of short chains
         return alg._make(rng.randint(0, min(alg.unit, bound)))
-    return clamp(alg, gr.sample_group_elem(spec, rng, bound))
+    return clamp(alg, alg.ops.sample(rng, bound))
 
 
 def sample_zero_slice(alg: PmvAlgebra, rng: random.Random, bound: int = DEFAULT_BOUND) -> PmvElem:
     """A head-zero element (0, g) of a lex interval, with g >= 0, clamped."""
     spec = alg.spec
     tail_ops = spec.right.ops
-    tail = tail_ops.join(gr.sample_group_elem(spec.right, rng, bound), tail_ops.zero)
+    tail = tail_ops.join(tail_ops.sample(rng, bound), tail_ops.zero)
     return clamp(alg, (spec.left.ops.zero, tail))

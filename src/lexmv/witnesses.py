@@ -45,7 +45,8 @@ class LexAlgebra:
     offset: object
 
     def __post_init__(self):
-        if not self.base.spec.is_linear or not self.base.spec.is_abelian:
+        base = self.base.spec.ops
+        if not (base.linear and base.abelian):
             raise WitnessError(f"base {self.base.spec} must be linear and Abelian")
         gr.check_shape(self.fiber, self.offset)
 
@@ -480,21 +481,16 @@ class StateFn:
         return self.fn(x)
 
 
-def _base_state(spec: GroupSpec, unit) -> Callable[[object], Fraction]:
-    """The unique state of the linear base Gamma(H, u), per spec variant."""
-    if spec.kind == "Z":
-        return lambda t: Fraction(t, unit)
-    if spec.kind == "Q":
-        return lambda t: Fraction(t) / Fraction(unit)
-    if spec.kind == "lex" and gr.g_cmp(spec.left, unit[0], gr.zero(spec.left)) > 0:
-        inner = _base_state(spec.left, unit[0])
-        return lambda t: inner(t[0])
-    raise UnsupportedBaseError(f"no closed-form state for base {spec}")
+def _closed_form_state(g: UnitalGroup) -> Callable[[object], Fraction]:
+    s0 = g.spec.ops.state(g.unit)
+    if s0 is None:
+        raise UnsupportedBaseError(f"no closed-form state for base {g.spec}")
+    return s0
 
 
 def unique_state(alg: PmvAlgebra) -> StateFn:
     """The unique state of a linear catalog algebra."""
-    s0 = _base_state(alg.spec, alg.unit)
+    s0 = _closed_form_state(alg.group)
     return StateFn(alg, lambda x: s0(x.value))
 
 
@@ -502,7 +498,7 @@ def state_on_lex(lexalg: LexAlgebra) -> StateFn:
     """s = s0 o head, vanishing on the canonical ideal."""
     if not lexalg.strong_form:
         raise WitnessError("state_on_lex is stated for offset 0")
-    s0 = _base_state(lexalg.base.spec, lexalg.base.unit)
+    s0 = _closed_form_state(lexalg.base)
     alg = lexalg.algebra
     return StateFn(alg, lambda x: s0(x.value[0]))
 
@@ -534,13 +530,9 @@ def state_report(
 
 def base_maximality(w: PerfectWitness) -> bool:
     """Whether M_0 is maximal: exactly when the base is (isomorphic to) a
-    unital subgroup of the reals.  Z and Q qualify; a lex-pair base does
-    not (it is not Archimedean); the trivial base gives the one-element
-    quotient, counted as maximal."""
-    kind = w.lexalg.base.spec.kind
-    if kind in ("Z", "Q", "O"):
-        return True
-    return False
+    unital subgroup of the reals, that is Archimedean.  The trivial base
+    gives the one-element quotient, counted as maximal."""
+    return w.lexalg.base.spec.ops.archimedean
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +628,8 @@ def _infer_hom(src: GroupSpec, tgt: GroupSpec, fn, samples: int, seed: int):
     if src == tgt:
         try_add(lambda: gr.identity_hom(src))
     try_add(lambda: gr.zero_hom(src, tgt))
-    if src == tgt and src.kind in ("Z", "Q"):
-        k = fn(1 if src.kind == "Z" else Fraction(1))
+    if src == tgt and src.ops.scalars is not None:
+        k = fn(1)  # the factor is the image of the generator 1
         try_add(lambda: gr.scale_hom(src, k))
     if tgt.kind == "lex" and tgt.right == src:
         try_add(lambda: gr.inject_right_hom(tgt.left, src))
