@@ -457,7 +457,7 @@ class UnitalGroup:
         check_shape(self.spec, self.unit)
         ops = self.spec.ops
         if ops.cmp(self.unit, ops.zero) < 0:
-            raise ValueError(f"unit must be >= 0, got {self.unit!r}")
+            raise ValueError(f"unit must be >= 0, got {ops.fmt(self.unit)}")
         ops.check_unit(self.unit)
 
     def __str__(self) -> str:

@@ -148,6 +148,10 @@ def test_cli_exit_codes(capsys):
     assert code == 2  # needs a lexicographic interval algebra
     code, _ = run_cli(capsys, "run", "nonsense", "chain(4)")
     assert code == 2
+    # a negative unit is shown as a DSL literal, not as a Python repr
+    for text, shown in (("gamma(Aff,aff(1/2,0))", "aff(1/2,0)"), ("gamma(lex(Z,Z),(-1,0))", "(-1,0)")):
+        assert cli.main(["run", "check-axioms", text]) == 2
+        assert capsys.readouterr().err == f"lexmv: 1:1: unit must be >= 0, got {shown}\n"
 
 
 def test_cli_failure_exit(capsys):
