@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 from fractions import Fraction
 
 from lexmv import groups as gr
+from lexmv.algebra import PmvAlgebra
+from lexmv.sampling import sample_elem
 
 
 ZZ = gr.lex(gr.Z, gr.Z)
@@ -142,6 +145,7 @@ def test_strong_units():
         gr.UnitalGroup(gr.AFF, gr.Aff(1, 2))  # a translation is not strong
     with pytest.raises(ValueError):
         gr.UnitalGroup(ZZ, (0, 5))  # head zero over a nontrivial head group
+    gr.UnitalGroup(gr.lex(gr.lex(gr.O, gr.O), gr.Z), ((0, 0), 2))  # a trivial head
 
 
 def test_nmul():
@@ -383,4 +387,191 @@ def test_scale_presentation_types():
         gr.scale_hom(gr.Z, Fraction(2))
     with pytest.raises(gr.HomError):
         gr.scale_hom(gr.Q, "2")
+    with pytest.raises(gr.HomError, match="scale on Z needs an integer factor"):
+        gr.scale_hom(gr.Z, True)  # bool is an int, but no value of Z
     assert gr.hom_apply(gr.scale_hom(gr.Q, Fraction(1, 2)), 3) == Fraction(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference twins of the record's other rules: the per-kind recursive
+# definitions it replaced.  Two are amended as the record is: a trivial
+# head (not only O) admits a zero head unit, and a zero head unit passes
+# the state on to the tail.
+
+
+def ref_trivial(spec) -> bool:
+    if spec.kind == "lex":
+        return ref_trivial(spec.left) and ref_trivial(spec.right)
+    return spec.kind == "O"
+
+
+def ref_fmt_elem(spec, v) -> str:
+    if spec.kind == "lex":
+        return f"({ref_fmt_elem(spec.left, v[0])},{ref_fmt_elem(spec.right, v[1])})"
+    if spec.kind == "Aff":
+        return f"aff({gr.fmt_rat(v.slope)},{gr.fmt_rat(v.shift)})"
+    return gr.fmt_rat(v)
+
+
+REF_AFF_SLOPES = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2),
+                  Fraction(2), Fraction(3))
+
+
+def ref_sample_group_elem(spec, rng, bound=25):
+    if spec.kind == "O":
+        return 0
+    if spec.kind == "Z":
+        return rng.randint(-bound, bound)
+    if spec.kind == "Q":
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 8))
+    if spec.kind == "Aff":
+        return gr.Aff(rng.choice(REF_AFF_SLOPES), Fraction(rng.randint(-bound, bound)))
+    return (ref_sample_group_elem(spec.left, rng, bound), ref_sample_group_elem(spec.right, rng, bound))
+
+
+def ref_center_contains(spec, a) -> bool:
+    if spec.kind == "Aff":
+        return a == gr.AFF_ID
+    if spec.kind == "lex":
+        return ref_center_contains(spec.left, a[0]) and ref_center_contains(spec.right, a[1])
+    return True
+
+
+def ref_validate_strong_unit(spec, u) -> None:
+    if spec.kind == "O":
+        return
+    if spec.kind == "Z":
+        if u < 1:
+            raise ValueError("strong unit of Z must be >= 1")
+    elif spec.kind == "Q":
+        if u <= 0:
+            raise ValueError("strong unit of Q must be > 0")
+    elif spec.kind == "Aff":
+        if u.slope <= 1:
+            raise ValueError("strong unit of Aff must have slope > 1")
+    elif spec.kind == "lex":
+        head = u[0]
+        if ref_cmp(spec.left, head, ref_zero(spec.left)) > 0:
+            ref_validate_strong_unit(spec.left, head)
+        elif ref_trivial(spec.left):  # amended: was spec.left.kind == "O"
+            ref_validate_strong_unit(spec.right, u[1])
+        else:
+            raise ValueError(
+                f"strong unit of {spec} needs a positive head, got {ref_fmt_elem(spec, u)}"
+            )
+
+
+def ref_nmul(spec, a, n):
+    acc = ref_zero(spec)
+    for _ in range(n):
+        acc = ref_add(spec, acc, a)
+    return acc
+
+
+def ref_ord(spec, v, u):
+    if ref_cmp(spec, v, ref_zero(spec)) == 0:
+        return 1 if ref_cmp(spec, u, ref_zero(spec)) == 0 else math.inf
+    if spec.kind == "Z":
+        return -(-u // v)
+    if spec.kind == "Q":
+        return math.ceil(Fraction(u) / Fraction(v))
+    if spec.kind == "Aff":
+        if v.slope == 1:
+            return math.inf
+        n = 1
+        while ref_cmp(spec, ref_nmul(spec, v, n), u) < 0:
+            n += 1
+        return n
+    h, g = v
+    uh, ug = u
+    if ref_cmp(spec.left, h, ref_zero(spec.left)) == 0:
+        if ref_cmp(spec.left, uh, ref_zero(spec.left)) == 0:
+            return ref_ord(spec.right, g, ug)
+        return math.inf
+    n0 = ref_ord(spec.left, h, uh)
+    if n0 is math.inf:
+        return math.inf
+    if ref_cmp(spec.left, ref_nmul(spec.left, h, n0), uh) > 0:
+        return n0
+    if ref_cmp(spec.right, ref_nmul(spec.right, g, n0), ug) >= 0:
+        return n0
+    return n0 + 1
+
+
+def ref_base_state(spec, unit):
+    """The unique state of Gamma(spec, unit), or None without a closed form."""
+    if spec.kind == "Z":
+        return lambda t: Fraction(t, unit)
+    if spec.kind == "Q":
+        return lambda t: Fraction(t) / Fraction(unit)
+    if spec.kind == "lex" and ref_cmp(spec.left, unit[0], ref_zero(spec.left)) > 0:
+        inner = ref_base_state(spec.left, unit[0])
+        return inner and (lambda t: inner(t[0]))
+    if spec.kind == "lex" and ref_trivial(spec.left):  # amended: fall through to the tail
+        inner = ref_base_state(spec.right, unit[1])
+        return inner and (lambda t: inner(t[1]))
+    return None
+
+
+def ref_facts(spec):
+    """(abelian, linear, archimedean, trivial)."""
+    if spec.kind == "lex":
+        h, t = ref_facts(spec.left), ref_facts(spec.right)
+        arch = (h[3] and t[2]) or (t[3] and h[2])
+        return (h[0] and t[0], t[1], arch, h[3] and t[3])
+    return (spec.kind != "Aff", True, spec.kind != "Aff", spec.kind == "O")
+
+
+def unit_outcome(check, u):
+    try:
+        check(u)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def twin_pool(spec, rng, n):
+    return [tie_prone_elem(spec, rng) if rng.random() < 0.5 else gr.sample_group_elem(spec, rng, 3)
+            for _ in range(n)]
+
+
+def test_record_rules_match_reference_twins():
+    rng = random.Random(47)
+    for spec in TWIN_SPECS:
+        ops = spec.ops
+        assert (ops.abelian, ops.linear, ops.archimedean, ops.trivial) == ref_facts(spec), spec
+        for v in twin_pool(spec, rng, 60):
+            assert ops.fmt(v) == ref_fmt_elem(spec, v) == gr.fmt_elem(spec, v), (spec, v)
+            assert ops.central(v) == ref_center_contains(spec, v) == gr.center_contains(spec, v)
+            assert unit_outcome(ops.check_unit, v) == unit_outcome(
+                lambda u: ref_validate_strong_unit(spec, u), v), (spec, v)
+
+
+def test_record_sampler_matches_reference_draw_for_draw():
+    for seed, spec in enumerate(TWIN_SPECS):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for bound in (0, 1, 3, 25):
+            for _ in range(20):
+                assert repr(gr.sample_group_elem(spec, ours, bound)) == repr(
+                    ref_sample_group_elem(spec, ref, bound)), (spec, bound)
+        assert ours.random() == ref.random(), spec
+
+
+def test_record_ord_and_state_match_reference_twins():
+    rng = random.Random(53)
+    units = 0
+    for spec in TWIN_SPECS:
+        ops = spec.ops
+        for u in twin_pool(spec, rng, 30):
+            if ops.cmp(u, ops.zero) < 0 or unit_outcome(ops.check_unit, u) is not None:
+                continue
+            units += 1
+            alg = PmvAlgebra(gr.UnitalGroup(spec, u))
+            ours, ref = ops.state(u), ref_base_state(spec, u)
+            assert (ours is None) == (ref is None), (spec, u)
+            for _ in range(15):
+                x = sample_elem(alg, rng, 4).value
+                assert repr(ops.ord(x, u)) == repr(ref_ord(spec, x, u)), (spec, x, u)
+                if ours is not None:
+                    assert repr(ours(x)) == repr(ref(x)), (spec, x, u)
+    assert units > 150

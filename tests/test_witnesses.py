@@ -231,6 +231,21 @@ def test_base_maximality():
     assert base_maximality(canonical_witness(L10, "strong"))
     assert base_maximality(canonical_witness(la(gr.Q, Fraction(1), gr.Z, 0), "strong"))
     assert not base_maximality(canonical_witness(la(ZZ, (1, 0), gr.Z, 0), "strong"))
+    # a trivial factor leaves a base isomorphic to Z, so M_0 is maximal
+    assert base_maximality(canonical_witness(la(gr.lex(gr.O, gr.Z), (0, 2), gr.Z, 0), "strong"))
+    assert base_maximality(canonical_witness(la(gr.lex(gr.Z, gr.O), (1, 0), gr.Z, 0), "strong"))
+
+
+def test_state_on_base_with_trivial_head():
+    # base lex(O,Z) with unit (0,2) is (Z, 2): its state is t |-> t[1]/2
+    m = la(gr.lex(gr.O, gr.Z), (0, 2), gr.Z, 0)
+    s = state_on_lex(m)
+    assert s(m.algebra.elem(((0, 1), -3))) == Fraction(1, 2)
+    assert s(m.algebra.one) == 1
+    nested = PmvAlgebra(gr.UnitalGroup(gr.lex(gr.lex(gr.O, gr.Z), gr.Z), ((0, 2), 0)))
+    rep = theorem_suite(canonical_witness(LexAlgebra.from_algebra(nested), "strong"), 300, seed=22)
+    assert rep.ok, rep.counterexamples
+    assert rep.details["v-state"] == "pass"
 
 
 def test_maximality_trichotomy_consistency():
