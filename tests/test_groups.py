@@ -381,7 +381,7 @@ def test_sampled_check_still_guards_pairwise():
 
 
 def test_scale_presentation_types():
-    with pytest.raises(gr.HomError):
+    with pytest.raises(gr.HomError, match="scale on Q needs an integer or Fraction factor"):
         gr.scale_hom(gr.Q, 0.5)
     with pytest.raises(gr.HomError):
         gr.scale_hom(gr.Z, Fraction(2))
