@@ -176,7 +176,7 @@ class _Parser:
     def group(self) -> GroupNode:
         t = self.expect("name")
         span = (t.line, t.col)
-        if t.text in ("Z", "Q", "O", "Aff"):
+        if t.text in gr.KINDS:
             return GroupNode(span, t.text)
         if t.text == "lex":
             self.expect("punct", "(")
@@ -314,7 +314,7 @@ def build_group(node: GroupNode) -> GroupSpec:
             return gr.lex(left, right)
         except ValueError as exc:
             raise SemanticError(str(exc), *node.span) from None
-    return {"Z": gr.Z, "Q": gr.Q, "O": gr.O, "Aff": gr.AFF}[node.kind]
+    return GroupSpec(node.kind)
 
 
 def build_elem(spec: GroupSpec, node: Node):

@@ -45,8 +45,7 @@ class LexAlgebra:
     offset: object
 
     def __post_init__(self):
-        base = self.base.spec.ops
-        if not (base.linear and base.abelian):
+        if not (self.base.spec.ops.linear and self.base.spec.ops.abelian):
             raise WitnessError(f"base {self.base.spec} must be linear and Abelian")
         gr.check_shape(self.fiber, self.offset)
 
