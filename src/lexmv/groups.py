@@ -178,6 +178,10 @@ def _num_ord(v, u):
     return -(-u // v)
 
 
+def _num_state(u):
+    return lambda t: Fraction(t) / u
+
+
 def _aff_cmp(a: Aff, b: Aff) -> int:
     if a.slope != b.slope:
         return -1 if a.slope < b.slope else 1
@@ -236,7 +240,6 @@ _NUMBER = dict(
     join=lambda a, b: a if b < a else b, fmt=fmt_rat, central=lambda v: True, ord=_num_ord,
     abelian=True, linear=True, archimedean=True,
 )
-_num_state = lambda u: lambda t: Fraction(t) / u
 
 # The base kinds.  Strong units rest on a documented argument, not a
 # search: Z takes any u >= 1 and Q any u > 0 (both are Archimedean); Aff
