@@ -238,7 +238,6 @@ def ord_of(x: PmvElem):
     """The least n with n.x = 1, or math.inf.
 
     In any Gamma(G, u) the truncated sum satisfies n.x = (n*x) /\\ u, so
-    ord(x) = min{n : n*x >= u}, which the spec's GroupOps.ord computes in
-    closed form.
+    ord(x) = min{n : n*x >= u}, which the spec's GroupOps.ord computes.
     """
     return x.algebra.ops.ord(x.value, x.algebra.unit)
