@@ -292,7 +292,8 @@ def print_ast(node: Node) -> str:
     if isinstance(node, PairNode):
         return f"({print_ast(node.left)},{print_ast(node.right)})"
     if isinstance(node, AffNode):
-        return f"aff({gr.fmt_rat(node.slope)},{gr.fmt_rat(node.shift)})"
+        s, h = node.slope, node.shift
+        return gr.Aff.literal(s.numerator, s.denominator, h.numerator, h.denominator)
     if isinstance(node, GammaNode):
         return f"gamma({print_ast(node.group)},{print_ast(node.unit)})"
     if isinstance(node, ChainNode):

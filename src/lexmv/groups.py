@@ -3,9 +3,10 @@
 The catalog is generated by four base groups -- the trivial group O, the
 integers Z, the rationals Q, and the group Aff of increasing affine maps
 t |-> a*t + beta with a > 0 -- closed under the lexicographic pair
-combinator ``lex(H, G)``.  All element values are exact (arbitrary
-precision integers, ``fractions.Fraction``, nested tuples), so equality
-and order are decidable and bit-stable.
+combinator ``lex(H, G)``.  All element values are exact, so equality and
+order are decidable and bit-stable: a Z value is an int, a Q value an int
+or a ``fractions.Fraction``, an Aff value four reduced ints, and a lex
+value a nested pair.
 
 Aff is the designated non-Abelian linearly ordered group.  Its operation
 is map composition, (a1,b1)+(a2,b2) = (a1*a2, a1*b2+b1), and its order is
@@ -26,9 +27,10 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Optional
 
 
@@ -78,43 +80,93 @@ def lex(left: GroupSpec, right: GroupSpec) -> GroupSpec:
 # Elements
 
 
-@dataclass(frozen=True)
-class Aff:
-    """The affine map t |-> slope*t + shift with slope > 0."""
-
-    slope: Fraction
-    shift: Fraction
-
-    def __init__(self, slope, shift):
-        slope = Fraction(slope)
-        shift = Fraction(shift)
-        if slope <= 0:
-            raise ShapeError(f"Aff slope must be positive, got {slope}")
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "shift", shift)
-
-    def __str__(self) -> str:
-        return f"aff({self.slope},{self.shift})"
+def _is_rat(v) -> bool:
+    """The shape of a Q value: an int (not a bool) or a Fraction."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
-AFF_ID = Aff(1, 0)
-
-
-def _aff(slope: Fraction, shift: Fraction) -> Aff:
-    """An Aff from Fraction parts with a known positive slope, unchecked:
-    sums and inverses of Aff values keep slopes positive."""
-    f = object.__new__(Aff)
-    object.__setattr__(f, "slope", slope)
-    object.__setattr__(f, "shift", shift)
-    return f
+def fmt_ratio(n: int, d: int) -> str:
+    """The reduced rational n/d, d > 0, as a DSL literal."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def fmt_rat(v) -> str:
     if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+        return fmt_ratio(v.numerator, v.denominator)
     return str(v)
+
+
+class Aff:
+    """The affine map t |-> slope*t + shift with slope > 0.
+
+    A value holds four reduced ints, ``parts = (sn, sd, hn, hd)``: slope
+    sn/sd and shift hn/hd, each in lowest terms with a positive
+    denominator.  The form is canonical, so two values are equal (and hash
+    equally) exactly when they are the same map.  ``Aff(slope, shift)``
+    takes Q values (int or Fraction) and raises ShapeError on anything
+    else or on a slope <= 0; ``slope`` and ``shift`` read back Fractions.
+    Values are immutable.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, slope, shift):
+        if not (_is_rat(slope) and _is_rat(shift)):
+            raise ShapeError(f"Aff needs int or Fraction parts, got {slope!r}, {shift!r}")
+        slope, shift = Fraction(slope), Fraction(shift)
+        if slope <= 0:
+            raise ShapeError(f"Aff slope must be positive, got {slope}")
+        _set_parts(self, (slope.numerator, slope.denominator, shift.numerator, shift.denominator))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (_aff, (self.parts,))
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.parts[0], self.parts[1])
+
+    @property
+    def shift(self) -> Fraction:
+        return Fraction(self.parts[2], self.parts[3])
+
+    def __eq__(self, other):
+        if other.__class__ is Aff:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Aff(slope={self.slope!r}, shift={self.shift!r})"
+
+    @staticmethod
+    def literal(sn: int, sd: int, hn: int, hd: int) -> str:
+        """The DSL literal aff(sn/sd,hn/hd), from reduced parts."""
+        return f"aff({fmt_ratio(sn, sd)},{fmt_ratio(hn, hd)})"
+
+    def __str__(self) -> str:
+        return Aff.literal(*self.parts)
+
+
+_set_parts = Aff.parts.__set__
+
+
+def _aff(parts: tuple) -> Aff:
+    """An Aff from reduced parts with sn, sd, hd > 0, unchecked: sums and
+    inverses of Aff values keep that form."""
+    f = object.__new__(Aff)
+    _set_parts(f, parts)
+    return f
+
+
+AFF_ID = Aff(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +235,38 @@ def _num_state(u):
 
 
 def _aff_cmp(a: Aff, b: Aff) -> int:
-    if a.slope != b.slope:
-        return -1 if a.slope < b.slope else 1
-    if a.shift != b.shift:
-        return -1 if a.shift < b.shift else 1
-    return 0
+    asn, asd, ahn, ahd = a.parts
+    bsn, bsd, bhn, bhd = b.parts
+    left, right = asn * bsd, bsn * asd
+    if left == right:
+        left, right = ahn * bhd, bhn * ahd
+        if left == right:
+            return 0
+    return -1 if left < right else 1
 
 
 def _aff_add(a: Aff, b: Aff) -> Aff:
-    return _aff(a.slope * b.slope, a.slope * b.shift + a.shift)
+    # (s1, h1) + (s2, h2) = (s1*s2, s1*h2 + h1)
+    asn, asd, ahn, ahd = a.parts
+    bsn, bsd, bhn, bhd = b.parts
+    sn, sd = asn * bsn, asd * bsd
+    g = gcd(sn, sd)
+    hn, hd = asn * bhn * ahd + ahn * asd * bhd, asd * bhd * ahd
+    k = gcd(hn, hd)
+    return _aff((sn // g, sd // g, hn // k, hd // k))
+
+
+def _aff_neg(a: Aff) -> Aff:
+    # -(s, h) = (1/s, -h/s); sd/sn is already reduced
+    sn, sd, hn, hd = a.parts
+    hn, hd = -hn * sd, hd * sn
+    k = gcd(hn, hd)
+    return _aff((sd, sn, hn // k, hd // k))
 
 
 def _aff_ord(v: Aff, u: Aff):
-    if v.slope == 1:
+    sn, sd, _, _ = v.parts
+    if sn == sd:
         # slope stays 1, and a unit's slope is > 1
         return 1 if v == u == AFF_ID else math.inf
     # n*v has slope v.slope**n: double, then bisect
@@ -233,7 +304,8 @@ def _require(ok, message: str):
     return check_unit
 
 
-_AFF_SLOPES = tuple(map(Fraction, ("1/3", "1/2", "2/3", "1", "3/2", "2", "3")))
+# the sampler's slopes, as (numerator, denominator)
+_AFF_SLOPES = ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))
 
 _NUMBER = dict(
     add=operator.add, neg=operator.neg, cmp=_num_cmp, meet=lambda a, b: b if b < a else a,
@@ -257,23 +329,22 @@ KINDS = {
         state=_num_state, scalars="an integer", trivial=False, **_NUMBER,
     ),
     "Q": GroupOps(
-        zero=Fraction(0),
-        shape_ok=lambda v: isinstance(v, (int, Fraction)) and not isinstance(v, bool),
+        zero=Fraction(0), shape_ok=_is_rat,
         sample=lambda rng, bound: Fraction(rng.randint(-bound, bound), rng.randint(1, 8)),
         check_unit=_require(lambda u: u > 0, "strong unit of Q must be > 0"),
         state=_num_state, scalars="an integer or Fraction", trivial=False, **_NUMBER,
     ),
     "Aff": GroupOps(
-        zero=AFF_ID, shape_ok=lambda v: isinstance(v, Aff), add=_aff_add,
-        neg=lambda a: _aff(1 / a.slope, -a.shift / a.slope), cmp=_aff_cmp,
-        meet=lambda a, b: a if _aff_cmp(a, b) <= 0 else b,
-        join=lambda a, b: b if _aff_cmp(a, b) <= 0 else a,
-        fmt=lambda v: f"aff({fmt_rat(v.slope)},{fmt_rat(v.shift)})",
-        sample=lambda rng, bound: _aff(rng.choice(_AFF_SLOPES), Fraction(rng.randint(-bound, bound))),
+        zero=AFF_ID, shape_ok=lambda v: isinstance(v, Aff), add=_aff_add, neg=_aff_neg,
+        cmp=_aff_cmp, meet=lambda a, b: a if _aff_cmp(a, b) <= 0 else b,
+        join=lambda a, b: b if _aff_cmp(a, b) <= 0 else a, fmt=Aff.__str__,
+        # slope first, then shift: the draw order fixes every seeded report
+        sample=lambda rng, bound: _aff((*rng.choice(_AFF_SLOPES), rng.randint(-bound, bound), 1)),
         # the centre is the identity alone: (a,b)+(1,1) = (a, a+b) and
         # (1,1)+(a,b) = (a, b+1) force a = 1, and then (2,0) forces b = 0
         central=lambda v: v == AFF_ID,
-        check_unit=_require(lambda u: u.slope > 1, "strong unit of Aff must have slope > 1"),
+        check_unit=_require(lambda u: u.parts[0] > u.parts[1],
+                            "strong unit of Aff must have slope > 1"),
         ord=_aff_ord, state=lambda u: None, scalars=None, abelian=False, linear=True,
         archimedean=False, trivial=False,  # n*(1,1) = (1,n) < (2,0) for every n
     ),
