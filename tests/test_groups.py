@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -131,6 +133,10 @@ def test_shape_checks():
         gr.check_shape(gr.Z, Fraction(1, 2))
     with pytest.raises(gr.ShapeError):
         gr.Aff(0, 1)
+    # Aff parts follow the Q shape rule: int (not bool) or Fraction
+    for slope, shift in ((0.5, 0), ("1/2", "3"), (True, False), (2, 0.1)):
+        with pytest.raises(gr.ShapeError, match="Aff needs int or Fraction parts"):
+            gr.Aff(slope, shift)
 
 
 def test_strong_units():
@@ -325,6 +331,63 @@ def test_compiled_ops_match_reference_twins():
             assert repr(ops.join(a, b)) == repr(ref_lattice(spec, a, b, "join")), (spec, a, b)
             assert repr(gr.g_meet(spec, a, b)) == repr(ops.meet(a, b))
             assert repr(gr.g_join(spec, a, b)) == repr(ops.join(a, b))
+
+
+def aff_leaves(v):
+    if isinstance(v, gr.Aff):
+        yield v
+    elif isinstance(v, tuple):
+        for part in v:
+            yield from aff_leaves(part)
+
+
+def assert_canonical(f):
+    """Reduced parts with positive denominators and a positive slope."""
+    sn, sd, hn, hd = f.parts
+    assert all(type(p) is int for p in f.parts), f.parts
+    assert sn > 0 and sd > 0 and hd > 0, f.parts
+    assert math.gcd(sn, sd) == 1 and math.gcd(hn, hd) == 1, f.parts
+
+
+def test_aff_values_are_canonical():
+    """repr rebuilds Fractions, which normalize, so the repr-based twin test
+    cannot see an unreduced part; check the parts themselves."""
+    built = [gr.Aff(Fraction(4, 2), Fraction(-6, 4)), gr.Aff(Fraction(-6, -4), 0),
+             gr.Aff(Fraction(10, 15), Fraction(0, 7)), gr.Aff(6, Fraction(9, 3))]
+    assert [f.parts for f in built] == [(2, 1, -3, 2), (3, 2, 0, 1), (2, 3, 0, 1), (6, 1, 3, 1)]
+    rng = random.Random(59)
+    affs = list(built)
+    for spec in TWIN_SPECS:
+        if "Aff" not in str(spec):
+            continue
+        ops = spec.ops
+        for _ in range(60):
+            a, b = twin_pool(spec, rng, 2)
+            for v in (a, b, ops.add(a, b), ops.neg(a), ops.meet(a, b), ops.join(a, b),
+                      ops.add(a, ops.neg(a)), ops.add(ops.neg(b), b), gr.g_nmul(spec, a, 5)):
+                affs.extend(aff_leaves(v))
+    for f in affs:
+        assert_canonical(f)
+    # == and hash agree with equality of the (slope, shift) Fraction pair
+    for f, g in zip(affs, affs[1:] + affs[:1]):
+        for x, y in ((f, g), (f, gr.Aff(f.slope, f.shift)), (f, gr.AFF_ID)):
+            assert (x == y) == ((x.slope, x.shift) == (y.slope, y.shift)), (x, y)
+            assert (x != y) == (not x == y)
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert gr.AFF_ID != (1, 1, 0, 1) and gr.AFF_ID.parts == (1, 1, 0, 1)
+
+
+def test_aff_values_are_immutable():
+    f = gr.Aff(2, 3)
+    with pytest.raises(AttributeError):
+        f.parts = (1, 1, 0, 1)
+    with pytest.raises(AttributeError):
+        del f.parts
+    with pytest.raises(AttributeError):
+        f.slope = Fraction(1)
+    assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+    assert f == gr.Aff(2, 3)
 
 
 def test_shape_ok_matches_reference_check_shape():
