@@ -155,6 +155,7 @@ class Aff:
         return Aff.literal(*self.parts)
 
 
+# the slot's own setter, which Aff.__setattr__ does not guard
 _set_parts = Aff.parts.__set__
 
 
