@@ -1,22 +1,30 @@
-"""Byte-identity gate for the CLI.
+"""Byte-identity gates for the CLI and the sampled suites.
 
 ``golden_cli.json`` pins the exit code, stdout and stderr of every
-in-process ``cli.main`` call in CASES.  The test only compares; it never
-writes the file.  After a deliberate change of output, regenerate it with
+in-process ``cli.main`` call in CASES.  ``golden_suites.json`` pins the
+canonical JSON of every sampled suite called directly: the nine suites on
+the catalog algebras, some deliberately broken inputs, and every report
+of the mutation suite, so that failing reports are pinned as well.  The
+tests only compare; they never write the files.  After a deliberate
+change of output, regenerate both with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of the data file.
+and review the diff of the data files.
 """
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
-from lexmv import cli
+from lexmv import axioms, cli, dsl
+from lexmv import witnesses as W
+from lexmv.reports import canonical_json
 
 DATA = Path(__file__).with_name("golden_cli.json")
+SUITE_DATA = Path(__file__).with_name("golden_suites.json")
 
 S = ("--samples", "100")
 
@@ -105,6 +113,62 @@ CASES = [
 ]
 
 
+CATALOG = {
+    "Z7": "gamma(Z,7)",
+    "Q3-2": "gamma(Q,3/2)",
+    "Aff2": "gamma(Aff,aff(2,0))",
+    "ZxZ21": "gamma(lex(Z,Z),(2,1))",
+    "ZxAff": "gamma(lex(Z,Aff),(1,aff(2,0)))",
+    "ZxZ20": "gamma(lex(Z,Z),(2,0))",
+    "QxQ": "gamma(lex(Q,Q),(3/2,0))",
+}
+LEX = ("ZxZ21", "ZxAff", "ZxZ20", "QxQ")
+N = 100
+
+
+def suite_reports() -> dict:
+    """name -> canonical JSON of each pinned suite report."""
+    alg = {k: dsl.build_algebra(dsl.parse(v)) for k, v in CATALOG.items()}
+    out = {}
+    for k, a in alg.items():
+        for fn in (axioms.axiom_report, axioms.pea_equivalence_report, axioms.partial_sum_report):
+            out[f"{fn.__name__}/{k}"] = fn(a, N, 1)
+    for k in ("Z7", "Q3-2"):
+        out[f"state_report/{k}"] = W.state_report(W.unique_state(alg[k]), N, 2)
+    for k in LEX:
+        la = W.LexAlgebra.from_algebra(alg[k])
+        w = W.canonical_witness(la, "strong" if la.strong_form else "weak")
+        out[f"check_decomposition/{k}"] = W.check_decomposition(w, N, 3)
+        out[f"check_cyclic/{k}"] = W.check_cyclic(w, N, 3)
+        out[f"theorem_suite/{k}"] = W.theorem_suite(w, N, 4)
+        out[f"verify_hom/phi/{k}"] = W.verify_hom(W.build_phi(w), N, 5)
+        if la.strong_form:
+            ideal, out[f"canonical_lex_ideal/{k}"] = W.canonical_lex_ideal(la, N, 6)
+            out[f"state_report/{k}"] = W.state_report(W.state_on_lex(la), N, 7, vanishes_on=ideal)
+            out[f"verify_hom/quotient/{k}"] = W.verify_hom(
+                W.quotient_to_base(la), N, 8, check_injective=False)
+    # broken inputs, each failing a clause that the mutation suite does not reach
+    la = W.LexAlgebra.from_algebra(alg["ZxZ20"])
+    w = W.canonical_witness(la, "strong")
+    shifted = W.PerfectWitness(la, lambda x: min(x.value[0] + 1, 2), w.family, "strong")
+    constant = W.PerfectWitness(la, lambda x: 0, w.family, "strong")
+    out["theorem_suite/indexer-shift"] = W.theorem_suite(shifted, N, 9)
+    out["theorem_suite/indexer-constant"] = W.theorem_suite(constant, N, 9)
+    s = W.state_on_lex(la)
+    out["state_report/zero"] = W.state_report(W.StateFn(s.algebra, lambda x: Fraction(0)), N, 10)
+    tail_squared = W.StateFn(s.algebra, lambda x: s(x) + x.value[1] ** 2)
+    out["state_report/tail-squared"] = W.state_report(tail_squared, N, 10)
+    everything = W.SymbolicIdeal(s.algebra, lambda x: True)
+    out["state_report/vanishes"] = W.state_report(s, N, 10, vanishes_on=everything)
+    z2 = dsl.build_algebra(dsl.parse("gamma(Z,2)"))
+    jump = W.Mapping(z2, z2, lambda x: z2.elem(2 if x.value else 0), description="jump")
+    out["verify_hom/jump"] = W.verify_hom(jump, N, 11)
+    for seed in (7, 104):
+        for name, rep in W.mutation_suite(seed=seed):
+            out[f"mutation_suite/{seed}/{name}"] = rep
+    return {k: canonical_json(rep) for k, rep in out.items()}
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -119,5 +183,14 @@ def test_cli_output_matches_golden():
     assert not changed, changed
 
 
+def test_suite_output_matches_golden():
+    golden = json.loads(SUITE_DATA.read_text())
+    now = suite_reports()
+    assert sorted(golden) == sorted(now), "golden_suites.json is stale: regenerate it"
+    changed = [k for k in golden if now[k] != golden[k]]
+    assert not changed, changed
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps([run(argv) for argv in CASES], indent=1) + "\n")
+    SUITE_DATA.write_text(json.dumps(suite_reports(), indent=1) + "\n")
