@@ -8,16 +8,10 @@ the CLI, mutation tests and the acceptance gate can certify it.
 
 from __future__ import annotations
 
-import random
-import time
-
-from .algebra import PmvAlgebra, PmvElem, iterate, oplus_via_pea
-from .reports import Report
+from . import groups as gr
+from .algebra import PmvAlgebra, iterate, oplus_via_pea
+from .reports import Report, run_suite
 from .sampling import DEFAULT_BOUND, sample_elem
-
-
-def _witness(*elems: PmvElem):
-    return [str(e) for e in elems]
 
 
 def axiom_report(
@@ -25,60 +19,48 @@ def axiom_report(
 ) -> Report:
     """A1-A8 on seeded triples, plus the A6/A7 lattice agreement and the
     double-negation identities."""
-    t0 = time.perf_counter()
-    rep = Report("check-axioms", "pass", seed=seed, samples=samples)
-    rng = random.Random(seed)
     one, zero_e = alg.one, alg.zero
-    for _ in range(samples):
+
+    def draw(rng):
         x = sample_elem(alg, rng, bound)
         y = sample_elem(alg, rng, bound)
         z = sample_elem(alg, rng, bound)
-        if x.oplus(y.oplus(z)) != x.oplus(y).oplus(z):
-            return rep.fail("A1", _witness(x, y, z))
-        if x.oplus(zero_e) != x or zero_e.oplus(x) != x:
-            return rep.fail("A2", _witness(x))
-        if x.oplus(one) != one or one.oplus(x) != one:
-            return rep.fail("A3", _witness(x))
-        if one.tilde != zero_e or one.minus != zero_e:
-            return rep.fail("A4", _witness(one))
-        if x.minus.oplus(y.minus).tilde != x.tilde.oplus(y.tilde).minus:
-            return rep.fail("A5", _witness(x, y))
-        a6 = [
+        a6 = (
             x.oplus(x.tilde.odot(y)),
             y.oplus(y.tilde.odot(x)),
             x.odot(y.minus).oplus(y),
             y.odot(x.minus).oplus(x),
-        ]
-        if any(e != a6[0] for e in a6[1:]):
-            return rep.fail("A6", _witness(x, y))
-        if x.odot(x.minus.oplus(y)) != x.oplus(y.tilde).odot(y):
-            return rep.fail("A7", _witness(x, y))
-        if x.minus.tilde != x or x.tilde.minus != x:
-            return rep.fail("A8", _witness(x))
+        )
+        return x, y, z, a6, x.odot(x.minus.oplus(y))
+
+    clauses = [
+        ("A1", lambda x, y, z, *_: x.oplus(y.oplus(z)) != x.oplus(y).oplus(z) and (x, y, z)),
+        ("A2", lambda x, *_: (x.oplus(zero_e) != x or zero_e.oplus(x) != x) and (x,)),
+        ("A3", lambda x, *_: (x.oplus(one) != one or one.oplus(x) != one) and (x,)),
+        ("A4", lambda *_: (one.tilde != zero_e or one.minus != zero_e) and (one,)),
+        ("A5", lambda x, y, *_: x.minus.oplus(y.minus).tilde != x.tilde.oplus(y.tilde).minus
+         and (x, y)),
+        ("A6", lambda x, y, z, a6, a7: any(e != a6[0] for e in a6[1:]) and (x, y)),
+        ("A7", lambda x, y, z, a6, a7: a7 != x.oplus(y.tilde).odot(y) and (x, y)),
+        ("A8", lambda x, *_: (x.minus.tilde != x or x.tilde.minus != x) and (x,)),
         # A6/A7 define join and meet; they must agree with the group lattice
-        if a6[0] != x.join(y):
-            return rep.fail("A6-join", _witness(x, y))
-        if x.odot(x.minus.oplus(y)) != x.meet(y):
-            return rep.fail("A7-meet", _witness(x, y))
-    rep.details["algebra"] = str(alg)
-    rep.details["symmetric"] = alg.is_symmetric()
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+        ("A6-join", lambda x, y, z, a6, a7: a6[0] != x.join(y) and (x, y)),
+        ("A7-meet", lambda x, y, z, a6, a7: a7 != x.meet(y) and (x, y)),
+    ]
+    return run_suite("check-axioms", samples, seed, draw, clauses,
+                     algebra=str(alg), symmetric=alg.is_symmetric())
 
 
 def pea_equivalence_report(
     alg: PmvAlgebra, samples: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
 ) -> Report:
     """oplus recovered from the partial-sum structure equals oplus."""
-    rep = Report("pea-equivalence", "pass", seed=seed, samples=samples)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x = sample_elem(alg, rng, bound)
-        y = sample_elem(alg, rng, bound)
-        if oplus_via_pea(x, y) != x.oplus(y):
-            return rep.fail("pea-oplus", _witness(x, y))
-    rep.details["algebra"] = str(alg)
-    return rep
+
+    def draw(rng):
+        return sample_elem(alg, rng, bound), sample_elem(alg, rng, bound)
+
+    clauses = [("pea-oplus", lambda x, y: oplus_via_pea(x, y) != x.oplus(y) and (x, y))]
+    return run_suite("pea-equivalence", samples, seed, draw, clauses, algebra=str(alg))
 
 
 def partial_sum_report(
@@ -86,47 +68,45 @@ def partial_sum_report(
 ) -> Report:
     """PE1-PE4 on sampled triples where defined, the partial-sum/group-sum
     agreement, and the truncated-sum closed form n.x = (n*x) /\\ u."""
-    from . import groups as gr
-
-    rep = Report("partial-sum", "pass", seed=seed, samples=samples)
-    rng = random.Random(seed)
     spec, u = alg.spec, alg.unit
-    for _ in range(samples):
+    one, zero_e = alg.one, alg.zero
+
+    def draw(rng):
         a = sample_elem(alg, rng, bound)
         b = sample_elem(alg, rng, bound)
         c = sample_elem(alg, rng, bound)
-        ab = a.partial_add(b)
+        return a, b, c, a.partial_add(b), rng.randrange(21)
+
+    def pe1(a, b, c, ab, n):
+        # (a+b)+c exists iff a+(b+c) exists, and then they are equal
         bc = b.partial_add(c)
-        # PE1: (a+b)+c exists iff a+(b+c) exists, and then they are equal
         lhs = ab.partial_add(c) if ab is not None else None
         rhs = a.partial_add(bc) if bc is not None else None
-        both = lhs is not None and rhs is not None
-        neither = lhs is None and rhs is None
-        if not (both or neither) or (both and lhs != rhs):
-            return rep.fail("PE1", _witness(a, b, c))
+        return lhs != rhs and (a, b, c)
+
+    def pe3(a, b, c, ab, n):
+        # a+b = d+a = b+e with d = (a+b)-a and e = -b+(a+b)
+        if ab is None:
+            return None
+        d = alg.elem(gr.g_sub(spec, ab.value, a.value))
+        e = alg.elem(gr.g_add(spec, gr.g_neg(spec, b.value), ab.value))
+        return (gr.g_add(spec, d.value, a.value) != ab.value
+                or gr.g_add(spec, b.value, e.value) != ab.value) and (a, b)
+
+    clauses = [
+        ("PE1", pe1),
         # PE2: the two complements are the negations
-        if a.partial_add(a.tilde) != alg.one or a.minus.partial_add(a) != alg.one:
-            return rep.fail("PE2", _witness(a))
-        # PE3: a+b = d+a = b+e with d = (a+b)-a and e = -b+(a+b)
-        if ab is not None:
-            d = ab.algebra.elem(gr.g_sub(spec, ab.value, a.value))
-            e = ab.algebra.elem(gr.g_add(spec, gr.g_neg(spec, b.value), ab.value))
-            if (
-                gr.g_add(spec, d.value, a.value) != ab.value
-                or gr.g_add(spec, b.value, e.value) != ab.value
-            ):
-                return rep.fail("PE3", _witness(a, b))
+        ("PE2", lambda a, *_: (a.partial_add(a.tilde) != one or a.minus.partial_add(a) != one)
+         and (a,)),
+        ("PE3", pe3),
         # PE4: a + 1 defined forces a = 0
-        if a != alg.zero and (a.partial_add(alg.one) is not None or alg.one.partial_add(a) is not None):
-            return rep.fail("PE4", _witness(a))
+        ("PE4", lambda a, *_: a != zero_e
+         and (a.partial_add(one) is not None or one.partial_add(a) is not None) and (a,)),
         # (2.1): where defined, the partial sum is the plain group sum
-        if ab is not None and ab.value != gr.g_add(spec, a.value, b.value):
-            return rep.fail("partial-sum-is-group-sum", _witness(a, b))
+        ("partial-sum-is-group-sum", lambda a, b, c, ab, n: ab is not None
+         and ab.value != gr.g_add(spec, a.value, b.value) and (a, b)),
         # closed form for truncated sums
-        n = rng.randrange(21)
-        if iterate(a, n, "truncated").value != gr.g_meet(
-            spec, gr.g_nmul(spec, a.value, n), u
-        ):
-            return rep.fail("truncated-closed-form", _witness(a) + [str(n)])
-    rep.details["algebra"] = str(alg)
-    return rep
+        ("truncated-closed-form", lambda a, b, c, ab, n: iterate(a, n, "truncated").value
+         != gr.g_meet(spec, gr.g_nmul(spec, a.value, n), u) and (a, n)),
+    ]
+    return run_suite("partial-sum", samples, seed, draw, clauses, algebra=str(alg))

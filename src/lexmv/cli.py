@@ -1,9 +1,10 @@
 """Command-line runner: `lexmv run <command> <dsl> [options]`.
 
-Exit codes: 0 the check passed, 1 a property violation or cap was hit,
-2 usage or parse errors.  Reports serialize as canonical JSON (sorted
-keys, LF endings, rationals as "p/q" strings) and are byte-identical
-for identical inputs and seed; timing is opt-in via --with-timing.
+Exit codes: 0 the check passed, 1 a property violation, a vacuous run
+(zero sampled instances) or a cap was hit, 2 usage or parse errors.
+Reports serialize as canonical JSON (sorted keys, LF endings, rationals
+as "p/q" strings) and are byte-identical for identical inputs and seed;
+timing is opt-in via --with-timing.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _mask_entry(a: FiniteMv, info: finite.IdealInfo) -> dict:
 
 
 def _check_flags(args) -> None:
-    # --samples 0 is accepted: a zero-instance run is a verdict question
+    # --samples 0 is accepted: a run with zero instances reports "vacuous"
     for flag, value, least in (("--samples", args.samples, 0), ("--bound", args.bound, 0),
                                ("--cap", args.cap, 1)):
         if value < least:
@@ -159,11 +160,9 @@ def _run_command(args) -> Report:
         w = canonical_witness(la, kind)
         dec = check_decomposition(w, args.samples, args.seed, args.bound)
         cyc = check_cyclic(w, args.samples, args.seed, args.bound)
-        rep = Report("witness", "pass" if dec.ok and cyc.ok else "fail",
-                     seed=args.seed, samples=args.samples)
+        rep = Report("witness", "pass", seed=args.seed, samples=args.samples).merge(dec).merge(cyc)
         rep.details = {"kind": kind, "decomposition": dec.verdict, "cyclic": cyc.verdict,
                        "algebra": str(la.algebra)}
-        rep.counterexamples = dec.counterexamples + cyc.counterexamples
         return rep
 
     if cmd == "lexify":
@@ -280,8 +279,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         rep = Report(args.command, "cap-exceeded")
         rep.details["reason"] = str(exc)
-    if rep.elapsed is None:
-        rep.elapsed = time.perf_counter() - t0
+    rep.elapsed = time.perf_counter() - t0
     text = canonical_json(rep, include_timing=args.with_timing)
     sys.stdout.write(text)
     if args.json_path:

@@ -1,4 +1,4 @@
-"""Structured check reports and their canonical JSON serialization.
+"""Structured check reports, the one sampled-suite loop, and canonical JSON.
 
 Reports are byte-stable: identical inputs and seed serialize identically.
 Wall-clock timing is recorded on the object but excluded from the
@@ -9,8 +9,10 @@ canonical form (it would break byte-identity across runs); pass
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .groups import fmt_rat
 
@@ -18,7 +20,7 @@ from .groups import fmt_rat
 @dataclass
 class Report:
     command: str
-    verdict: str  # "pass" | "fail" | "error" | "cap-exceeded"
+    verdict: str  # "pass" | "fail" | "vacuous" | "error" | "cap-exceeded"
     seed: int | None = None
     samples: int | None = None
     details: dict = field(default_factory=dict)
@@ -33,6 +35,42 @@ class Report:
         self.verdict = "fail"
         self.counterexamples.append({"clause": clause, "witness": witness})
         return self
+
+    def merge(self, part: "Report") -> "Report":
+        """Fold a sub-report into this one: fail > vacuous > pass, and
+        counterexamples are concatenated."""
+        self.counterexamples += part.counterexamples
+        if part.verdict == "fail" or self.verdict == "pass":
+            self.verdict = part.verdict
+        return self
+
+
+def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Random], tuple],
+              clauses: Sequence[tuple], once: Sequence[tuple] = (), **details) -> Report:
+    """The one loop of every sampled suite: a draw function plus a clause table.
+
+    A clause is ``(name, bad)``: ``bad(*drawn)`` is falsy when the clause
+    holds and returns the witness items, stringified here, when it does
+    not.  The ``once`` clauses take no arguments and run first; then the
+    seeded draws run through ``clauses`` in order, up to the first
+    violation.  Zero sampled instances and no failed ``once`` clause make
+    the verdict ``"vacuous"``.  ``details`` are recorded unless the run fails."""
+    rep = Report(command, "pass", seed=seed, samples=samples)
+    for name, bad in once:
+        found = bad()
+        if found:
+            return rep.fail(name, [str(e) for e in found])
+    rng = random.Random(seed)
+    for _ in range(samples):
+        drawn = draw(rng)
+        for name, bad in clauses:
+            found = bad(*drawn)
+            if found:
+                return rep.fail(name, [str(e) for e in found])
+    if samples == 0:
+        rep.verdict = "vacuous"
+    rep.details.update(details)
+    return rep
 
 
 def _jsonable(obj):

@@ -11,6 +11,7 @@ report with the failing witness when there is one.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,9 +19,9 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from . import groups as gr
-from .algebra import PmvAlgebra, PmvElem
+from .algebra import PmvAlgebra, PmvElem, ord_of
 from .groups import GroupHom, GroupSpec, UnitalGroup
-from .reports import Report
+from .reports import Report, run_suite
 from .sampling import DEFAULT_BOUND, sample_elem, sample_zero_slice
 
 
@@ -135,55 +136,41 @@ def check_decomposition(
     w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
 ) -> Report:
     """Definition clauses (a)-(c) plus the partial-sum and lattice slice laws."""
-    rep = Report("check-decomposition", "pass", seed=seed, samples=sample_budget)
-    rng = random.Random(seed)
     alg = w.algebra
+    idx = w.indexer
     hs = w.lexalg.base.spec
     uh = w.lexalg.base.unit
     zero_h = gr.zero(hs)
-    for _ in range(sample_budget):
+
+    def draw(rng):
         x = sample_elem(alg, rng, bound)
         y = sample_elem(alg, rng, bound)
-        v = w.indexer(x)
-        t = w.indexer(y)
-        if gr.g_cmp(hs, v, zero_h) < 0 or gr.g_cmp(hs, v, uh) > 0:
-            return rep.fail("index-range", [str(x)])
-        # (a) strict monotonicity across slices
-        c = gr.g_cmp(hs, v, t)
-        if c < 0 and not x.lt(y):
-            return rep.fail("a-monotone", [str(x), str(y)])
-        if c > 0 and not y.lt(x):
-            return rep.fail("a-monotone", [str(y), str(x)])
-        # (b) negation slice law M_t^- = M_{u-t} = M_t^~
-        cot = gr.g_sub(hs, uh, v)
-        if w.indexer(x.minus) != cot or w.indexer(x.tilde) != cot:
-            return rep.fail("b-negation", [str(x)])
-        # (c) oplus slice law with v (+) t = (v+t) /\ u
-        cap = gr.g_meet(hs, gr.g_add(hs, v, t), uh)
-        if w.indexer(x.oplus(y)) != cap:
-            return rep.fail("c-oplus", [str(x), str(y)])
-        # partial-sum slice laws
+        v, t = idx(x), idx(y)
         vt = gr.g_add(hs, v, t)
-        s = x.partial_add(y)
-        if gr.g_cmp(hs, vt, uh) < 0:
-            if s is None or w.indexer(s) != vt:
-                return rep.fail("i-partial-sum", [str(x), str(y)])
-        elif gr.g_cmp(hs, vt, uh) > 0:
-            if s is not None:
-                return rep.fail("iii-undefined", [str(x), str(y)])
-        elif s is not None and w.indexer(s) != uh:
-            return rep.fail("i-partial-sum-top", [str(x), str(y)])
+        return x, y, v, t, vt, gr.g_cmp(hs, vt, uh), x.partial_add(y)
+
+    clauses = [
+        ("index-range", lambda x, y, v, *_: (gr.g_cmp(hs, v, zero_h) < 0 or gr.g_cmp(hs, v, uh) > 0)
+         and (x,)),
+        # (a) strict monotonicity across slices, the lower slice named first
+        ("a-monotone", lambda x, y, v, t, *_: gr.g_cmp(hs, v, t) < 0 and not x.lt(y) and (x, y)),
+        ("a-monotone", lambda x, y, v, t, *_: gr.g_cmp(hs, t, v) < 0 and not y.lt(x) and (y, x)),
+        # (b) negation slice law M_t^- = M_{u-t} = M_t^~
+        ("b-negation", lambda x, y, v, *_: not idx(x.minus) == idx(x.tilde) == gr.g_sub(hs, uh, v)
+         and (x,)),
+        # (c) oplus slice law with v (+) t = (v+t) /\ u
+        ("c-oplus", lambda x, y, v, t, vt, *_: idx(x.oplus(y)) != gr.g_meet(hs, vt, uh) and (x, y)),
+        # partial-sum slice laws, by the side of u that v+t falls on
+        ("i-partial-sum", lambda x, y, v, t, vt, side, s: side < 0
+         and (s is None or idx(s) != vt) and (x, y)),
+        ("iii-undefined", lambda x, y, v, t, vt, side, s: side > 0 and s is not None and (x, y)),
+        ("i-partial-sum-top", lambda x, y, v, t, vt, side, s: side == 0
+         and s is not None and idx(s) != uh and (x, y)),
         # lattice slice laws
-        if w.indexer(x.join(y)) != gr.g_join(hs, v, t):
-            return rep.fail("iv-join", [str(x), str(y)])
-        if w.indexer(x.meet(y)) != gr.g_meet(hs, v, t):
-            return rep.fail("iv-meet", [str(x), str(y)])
-    rep.details["algebra"] = str(alg)
-    return rep
-
-
-def _base_algebra(lexalg: LexAlgebra) -> PmvAlgebra:
-    return PmvAlgebra(lexalg.base)
+        ("iv-join", lambda x, y, v, t, *_: idx(x.join(y)) != gr.g_join(hs, v, t) and (x, y)),
+        ("iv-meet", lambda x, y, v, t, *_: idx(x.meet(y)) != gr.g_meet(hs, v, t) and (x, y)),
+    ]
+    return run_suite("check-decomposition", sample_budget, seed, draw, clauses, algebra=str(alg))
 
 
 def check_cyclic(
@@ -191,31 +178,29 @@ def check_cyclic(
 ) -> Report:
     """Cyclic family clauses: slice membership and centrality, additivity
     c_v + c_t = c_{v+t}, the origin law c_0 = 0, and c_u = 1 for strong."""
-    rep = Report("check-cyclic", "pass", seed=seed, samples=sample_budget)
-    rng = random.Random(seed)
     alg = w.algebra
     hs = w.lexalg.base.spec
     uh = w.lexalg.base.unit
-    base_alg = _base_algebra(w.lexalg)
-    if w.family(gr.zero(hs)) != alg.zero:
-        return rep.fail("origin", ["c_0 != 0"])
-    if w.kind == "strong" and w.family(uh) != alg.one:
-        return rep.fail("iii-top", [str(w.family(uh))])
-    for _ in range(sample_budget):
+    base_alg = PmvAlgebra(w.lexalg.base)
+
+    def draw(rng):
         v = sample_elem(base_alg, rng, bound).value
         t = sample_elem(base_alg, rng, bound).value
-        cv, ct = w.family(v), w.family(t)
-        if w.indexer(ct) != t:
-            return rep.fail("i-membership", [gr.fmt_elem(hs, t), str(ct)])
-        if not gr.center_contains(alg.spec, ct.value):
-            return rep.fail("i-centrality", [str(ct)])
-        vt = gr.g_add(hs, v, t)
-        if gr.g_cmp(hs, vt, uh) <= 0:
-            if gr.g_add(alg.spec, cv.value, ct.value) != w.family(vt).value:
-                return rep.fail("ii-additivity", [str(cv), str(ct)])
-    rep.details["algebra"] = str(alg)
-    rep.details["kind"] = w.kind
-    return rep
+        return v, t, w.family(v), w.family(t), gr.g_add(hs, v, t)
+
+    once = [
+        ("origin", lambda: w.family(gr.zero(hs)) != alg.zero and ("c_0 != 0",)),
+        ("iii-top", lambda: w.kind == "strong" and w.family(uh) != alg.one and (w.family(uh),)),
+    ]
+    clauses = [
+        ("i-membership", lambda v, t, cv, ct, vt: w.indexer(ct) != t and (gr.fmt_elem(hs, t), ct)),
+        ("i-centrality", lambda v, t, cv, ct, vt: not gr.center_contains(alg.spec, ct.value)
+         and (ct,)),
+        ("ii-additivity", lambda v, t, cv, ct, vt: gr.g_cmp(hs, vt, uh) <= 0
+         and gr.g_add(alg.spec, cv.value, ct.value) != w.family(vt).value and (cv, ct)),
+    ]
+    return run_suite("check-cyclic", sample_budget, seed, draw, clauses, once,
+                     algebra=str(alg), kind=w.kind)
 
 
 def theorem_suite(
@@ -225,80 +210,80 @@ def theorem_suite(
     partial-sum slice laws (i-iii), lattice slice law (iv), a state
     vanishing on M_0 (v), M_0 a normal ideal with M_0 + M_0 = M_0 inside
     the infinitesimals (vi), the quotient onto the base (vii), uniqueness
-    of the indexing (viii), and primality of M_0 (ix)."""
-    import math
-
-    from .algebra import ord_of
-
-    rep = Report("theorem-suite", "pass", seed=seed, samples=sample_budget)
-    dec = check_decomposition(w, sample_budget, seed, bound)
-    if not dec.ok:
-        rep.verdict = "fail"
-        rep.counterexamples = dec.counterexamples
-        return rep
+    of the indexing (viii), and primality of M_0 (ix).  The first failing
+    sub-report ends the suite."""
     la = w.lexalg
     alg = w.algebra
     hs = la.base.spec
     uh = la.base.unit
     zero_h = gr.zero(hs)
-    in_m0 = lambda e: w.indexer(e) == zero_h
-    rng = random.Random(seed)
-    base_alg = _base_algebra(la)
-    for _ in range(sample_budget):
+    zero_e = alg.zero
+    # an undefined partial sum (None) is not in M_0
+    in_m0 = lambda e: e is not None and w.indexer(e) == zero_h
+    base_alg = PmvAlgebra(la.base)
+
+    def draw(rng):
         x = sample_elem(alg, rng, bound)
         y = sample_elem(alg, rng, bound)
         i = sample_zero_slice(alg, rng, bound)
         j = sample_zero_slice(alg, rng, bound)
-        # (ii) surjectivity of M_v + M_t onto M_{v+t}: peel c_t off x
         t = sample_elem(base_alg, rng, bound).value
-        v = gr.g_sub(hs, w.indexer(x), t)
-        # interior slices contain every tail, so x - c_t stays in the
+        return x, y, i, j, t, w.indexer(x)
+
+    def slice_sum(x, y, i, j, t, ix):
+        # (ii) surjectivity of M_v + M_t onto M_{v+t}: peel c_t off x.
+        # Interior slices contain every tail, so x - c_t stays in the
         # interval exactly when 0 < v; v = 0 is the trivial split 0 + x
-        if gr.g_cmp(hs, v, zero_h) > 0 and gr.g_cmp(hs, w.indexer(x), uh) < 0:
-            ct = w.family(t)
-            a = alg.elem(gr.g_sub(alg.spec, x.value, ct.value))
-            if w.indexer(a) != v or a.partial_add(ct) != x:
-                return rep.fail("ii-slice-sum", [str(x), gr.fmt_elem(hs, t)])
-        # (vi) M_0 + M_0 = M_0, normality, infinitesimality
-        ij = i.partial_add(j)
-        if gr.g_cmp(hs, uh, zero_h) > 0 and (ij is None or not in_m0(ij)):
-            return rep.fail("vi-sum-closed", [str(i), str(j)])
+        v = gr.g_sub(hs, ix, t)
+        if gr.g_cmp(hs, v, zero_h) <= 0 or gr.g_cmp(hs, ix, uh) >= 0:
+            return None
+        ct = w.family(t)
+        a = alg.elem(gr.g_sub(alg.spec, x.value, ct.value))
+        return (w.indexer(a) != v or a.partial_add(ct) != x) and (x, gr.fmt_elem(hs, t))
+
+    def normal(x, y, i, *_):
         xi = x.oplus(i)
         k = alg.elem(gr.g_sub(alg.spec, xi.value, x.value))
         k2 = alg.elem(gr.g_add(alg.spec, gr.g_neg(alg.spec, x.value), i.oplus(x).value))
-        if not (in_m0(k) and k.oplus(x) == xi and in_m0(k2)):
-            return rep.fail("vi-normal", [str(x), str(i)])
-        if ord_of(i) is not math.inf and i != alg.zero:
-            return rep.fail("vi-infinitesimal", [str(i)])
+        return not (in_m0(k) and k.oplus(x) == xi and in_m0(k2)) and (x, i)
+
+    clauses = [
+        ("ii-slice-sum", slice_sum),
+        # (vi) M_0 + M_0 = M_0, normality, infinitesimality
+        ("vi-sum-closed", lambda x, y, i, j, *_: gr.g_cmp(hs, uh, zero_h) > 0
+         and not in_m0(i.partial_add(j)) and (i, j)),
+        ("vi-normal", normal),
+        ("vi-infinitesimal", lambda x, y, i, *_: ord_of(i) is not math.inf and i != zero_e
+         and (i,)),
         # (ix) primality of M_0
-        if in_m0(x.meet(y)) and not (in_m0(x) or in_m0(y)):
-            return rep.fail("ix-prime", [str(x), str(y)])
+        ("ix-prime", lambda x, y, i, j, t, ix: in_m0(x.meet(y))
+         and not (ix == zero_h or in_m0(y)) and (x, y)),
         # (viii) the indexing is forced: it agrees with the head coordinate
-        if w.indexer(x) != x.value[0]:
-            return rep.fail("viii-unique", [str(x)])
+        ("viii-unique", lambda x, y, i, j, t, ix: ix != x.value[0] and (x,)),
+    ]
+    args = (sample_budget, seed, bound)
+    rep = Report("theorem-suite", "pass", seed=seed, samples=sample_budget)
+    if rep.merge(check_decomposition(w, *args)).verdict == "fail":
+        return rep
+    if rep.merge(run_suite("theorem-suite", sample_budget, seed, draw, clauses)).verdict == "fail":
+        return rep
     # (v) and (vii) need the offset-0 form; the state is s0 o head
-    if la.strong_form:
-        try:
-            s = state_on_lex(la)
-            ideal = SymbolicIdeal(alg, in_m0)
-            srep = state_report(s, sample_budget, seed, bound, vanishes_on=ideal)
-            if not srep.ok:
-                rep.verdict = "fail"
-                rep.counterexamples += srep.counterexamples
-                return rep
-            rep.details["v-state"] = "pass"
-        except UnsupportedBaseError:
-            rep.details["v-state"] = "skipped: no closed-form base state"
-        qrep = verify_hom(quotient_to_base(la), sample_budget, seed, bound,
-                          check_injective=False)
-        if not qrep.ok:
-            rep.verdict = "fail"
-            rep.counterexamples += qrep.counterexamples
-            return rep
-        rep.details["vii-quotient"] = "pass"
-    else:
+    if not la.strong_form:
         rep.details["v-state"] = "skipped: nonzero offset"
         rep.details["vii-quotient"] = "skipped: nonzero offset"
+    else:
+        try:
+            srep = state_report(state_on_lex(la), *args, vanishes_on=SymbolicIdeal(alg, in_m0))
+        except UnsupportedBaseError:
+            rep.details["v-state"] = "skipped: no closed-form base state"
+        else:
+            if rep.merge(srep).verdict == "fail":
+                return rep
+            rep.details["v-state"] = srep.verdict
+        qrep = verify_hom(quotient_to_base(la), *args, check_injective=False)
+        if rep.merge(qrep).verdict == "fail":
+            return rep
+        rep.details["vii-quotient"] = qrep.verdict
     rep.details["algebra"] = str(alg)
     return rep
 
@@ -355,34 +340,34 @@ def verify_hom(
 ) -> Report:
     """Preservation of 0, 1, both negations, oplus, odot, join and meet on
     samples; sampled injectivity; surjectivity through the preimage recipe."""
-    rep = Report("verify-hom", "pass", seed=seed, samples=sample_budget)
-    rng = random.Random(seed)
-    if m.fn(m.source.zero) != m.target.zero:
-        return rep.fail("zero", ["f(0) != 0"])
-    if m.fn(m.source.one) != m.target.one:
-        return rep.fail("unit", [str(m.fn(m.source.one))])
-    for _ in range(sample_budget):
+    f = m.fn
+
+    def draw(rng):
         x = sample_elem(m.source, rng, bound)
         y = sample_elem(m.source, rng, bound)
-        fx, fy = m.fn(x), m.fn(y)
-        if m.fn(x.oplus(y)) != fx.oplus(fy):
-            return rep.fail("oplus", [str(x), str(y)])
-        if m.fn(x.odot(y)) != fx.odot(fy):
-            return rep.fail("odot", [str(x), str(y)])
-        if m.fn(x.minus) != fx.minus or m.fn(x.tilde) != fx.tilde:
-            return rep.fail("negations", [str(x)])
-        if m.fn(x.join(y)) != fx.join(fy) or m.fn(x.meet(y)) != fx.meet(fy):
-            return rep.fail("lattice", [str(x), str(y)])
-        if check_injective and x != y and fx == fy:
-            return rep.fail("injectivity", [str(x), str(y)])
-        if m.preimage is not None:
-            z = sample_elem(m.target, rng, bound)
-            if m.fn(m.preimage(z)) != z:
-                return rep.fail("surjectivity", [str(z)])
-    rep.details["surjectivity"] = "checked" if m.preimage is not None else "not-checked"
-    rep.details["injectivity"] = "checked" if check_injective else "not-checked"
-    rep.details["map"] = m.description
-    return rep
+        z = sample_elem(m.target, rng, bound) if m.preimage is not None else None
+        return x, y, f(x), f(y), z
+
+    once = [
+        ("zero", lambda: f(m.source.zero) != m.target.zero and ("f(0) != 0",)),
+        ("unit", lambda: f(m.source.one) != m.target.one and (f(m.source.one),)),
+    ]
+    clauses = [
+        ("oplus", lambda x, y, fx, fy, z: f(x.oplus(y)) != fx.oplus(fy) and (x, y)),
+        ("odot", lambda x, y, fx, fy, z: f(x.odot(y)) != fx.odot(fy) and (x, y)),
+        ("negations", lambda x, y, fx, fy, z: f(x.minus) != fx.minus and (x,)),
+        ("negations", lambda x, y, fx, fy, z: f(x.tilde) != fx.tilde and (x,)),
+        ("lattice", lambda x, y, fx, fy, z: f(x.join(y)) != fx.join(fy) and (x, y)),
+        ("lattice", lambda x, y, fx, fy, z: f(x.meet(y)) != fx.meet(fy) and (x, y)),
+        ("injectivity", lambda x, y, fx, fy, z: check_injective and x != y and fx == fy
+         and (x, y)),
+        ("surjectivity", lambda x, y, fx, fy, z: z is not None and f(m.preimage(z)) != z
+         and (z,)),
+    ]
+    return run_suite("verify-hom", sample_budget, seed, draw, clauses, once,
+                     surjectivity="checked" if m.preimage is not None else "not-checked",
+                     injectivity="checked" if check_injective else "not-checked",
+                     map=m.description)
 
 
 # ---------------------------------------------------------------------------
@@ -416,40 +401,38 @@ def canonical_lex_ideal(
         return gr.g_cmp(lexalg.base.spec, h, zero_h) == 0 and gr.g_cmp(fs, g, zero_f) >= 0
 
     ideal = SymbolicIdeal(alg, contains, description="{(0,g): g >= 0}")
-    rep = Report("canonical-lex-ideal", "pass", seed=seed, samples=sample_budget)
-    rng = random.Random(seed)
     head = lambda e: e.value[0]
-    for _ in range(sample_budget):
+
+    def draw(rng):
         x = sample_elem(alg, rng, bound)
         y = sample_elem(alg, rng, bound)
-        if contains(y) and x.le(y) and not contains(x):
-            rep.fail("downward-closed", [str(x), str(y)])
-            break
-        if contains(x) and contains(y) and not contains(x.oplus(y)):
-            rep.fail("oplus-closed", [str(x), str(y)])
-            break
-        if contains(y):
-            # normality: x (+) i = j (+) x and i (+) x = x (+) j' with j, j' in I
-            xi = x.oplus(y)
-            j = alg.elem(gr.g_sub(spec, xi.value, x.value))
-            if not contains(j) or j.oplus(x) != xi:
-                rep.fail("normality", [str(x), str(y)])
-                break
-            ix = y.oplus(x)
-            j2 = alg.elem(gr.g_add(spec, gr.g_neg(spec, x.value), ix.value))
-            if not contains(j2) or x.oplus(j2) != ix:
-                rep.fail("normality", [str(y), str(x)])
-                break
-        if contains(x.meet(y)) and not (contains(x) or contains(y)):
-            rep.fail("prime", [str(x), str(y)])
-            break
+        return x, y, contains(x), contains(y)
+
+    def abnormal(x, y, cx, cy):
+        # normality: x (+) i = j (+) x and i (+) x = x (+) j' with j, j' in I
+        if not cy:
+            return None
+        xi = x.oplus(y)
+        j = alg.elem(gr.g_sub(spec, xi.value, x.value))
+        if not contains(j) or j.oplus(x) != xi:
+            return x, y
+        ix = y.oplus(x)
+        j2 = alg.elem(gr.g_add(spec, gr.g_neg(spec, x.value), ix.value))
+        return (not contains(j2) or x.oplus(j2) != ix) and (y, x)
+
+    clauses = [
+        ("downward-closed", lambda x, y, cx, cy: cy and x.le(y) and not cx and (x, y)),
+        ("oplus-closed", lambda x, y, cx, cy: cx and cy and not contains(x.oplus(y)) and (x, y)),
+        ("normality", abnormal),
+        ("prime", lambda x, y, cx, cy: contains(x.meet(y)) and not (cx or cy) and (x, y)),
         # strictness: quotient order is the head order
-        if gr.g_cmp(lexalg.base.spec, head(x), head(y)) < 0 and not x.lt(y):
-            rep.fail("strict", [str(x), str(y)])
-            break
-        if head(x.oplus(y)) != head(y.oplus(x)):
-            rep.fail("commutative-quotient", [str(x), str(y)])
-            break
+        ("strict", lambda x, y, *_: gr.g_cmp(lexalg.base.spec, head(x), head(y)) < 0
+         and not x.lt(y) and (x, y)),
+        ("commutative-quotient", lambda x, y, *_: head(x.oplus(y)) != head(y.oplus(x))
+         and (x, y)),
+    ]
+    rep = run_suite("canonical-lex-ideal", sample_budget, seed, draw, clauses)
+    # the ideal is described whatever the verdict
     rep.details["ideal"] = ideal.description
     return ideal, rep
 
@@ -459,7 +442,7 @@ def quotient_to_base(lexalg: LexAlgebra) -> Mapping:
     if not lexalg.strong_form:
         raise WitnessError("quotient-to-base is stated for offset 0")
     alg = lexalg.algebra
-    base_alg = _base_algebra(lexalg)
+    base_alg = PmvAlgebra(lexalg.base)
     fiber_zero = gr.zero(lexalg.fiber)
 
     def fn(x: PmvElem) -> PmvElem:
@@ -511,20 +494,20 @@ def state_report(
 ) -> Report:
     """s(1) = 1 and additivity on sampled defined partial sums; optionally
     vanishing on sampled members of an ideal."""
-    rep = Report("state", "pass", seed=seed, samples=sample_budget)
-    rng = random.Random(seed)
     alg = s.algebra
-    if s(alg.one) != 1:
-        return rep.fail("normalization", [str(alg.one)])
-    for _ in range(sample_budget):
+
+    def draw(rng):
         a = sample_elem(alg, rng, bound)
         b = sample_elem(alg, rng, bound)
-        ab = a.partial_add(b)
-        if ab is not None and s(ab) != s(a) + s(b):
-            return rep.fail("additivity", [str(a), str(b)])
-        if vanishes_on is not None and vanishes_on.contains(a) and s(a) != 0:
-            return rep.fail("vanishes-on-ideal", [str(a)])
-    return rep
+        return a, b, a.partial_add(b)
+
+    once = [("normalization", lambda: s(alg.one) != 1 and (alg.one,))]
+    clauses = [
+        ("additivity", lambda a, b, ab: ab is not None and s(ab) != s(a) + s(b) and (a, b)),
+        ("vanishes-on-ideal", lambda a, b, ab: vanishes_on is not None
+         and vanishes_on.contains(a) and s(a) != 0 and (a,)),
+    ]
+    return run_suite("state", sample_budget, seed, draw, clauses, once)
 
 
 def base_maximality(w: PerfectWitness) -> bool:
