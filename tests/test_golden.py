@@ -110,6 +110,10 @@ CASES = [
     ["check-axioms", "gamma(lex(lex(O,Z),Q),((0,0),1))", *S],
     ["witness", "gamma(lex(Z,Z),(2,1))", "--kind", "strong", *S],
     ["witness", "gamma(lex(Z,Z),(2,-1))", *S],
+    # zero sampled instances: vacuous, exit 1
+    ["check-axioms", "gamma(Z,3)", "--samples", "0"],
+    ["witness", "gamma(lex(Z,Z),(2,1))", "--samples", "0"],
+    ["lexify", "gamma(lex(Z,Z),(2,1))", "--samples", "0"],
 ]
 
 
