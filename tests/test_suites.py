@@ -1,7 +1,10 @@
 """The one suite runner: verdicts at zero samples and the verdict merge rule."""
 
+import json
+
 import pytest
 
+from lexmv import cli, dsl
 from lexmv import groups as gr
 from lexmv.axioms import axiom_report, partial_sum_report, pea_equivalence_report
 from lexmv.reports import Report
@@ -44,6 +47,11 @@ def test_zero_samples_are_vacuous(name):
     assert SUITES[name](1).verdict == "pass"
 
 
+def test_theorem_suite_sub_verdicts_at_zero_samples():
+    rep = theorem_suite(W20, 0)
+    assert rep.details["v-state"] == rep.details["vii-quotient"] == "vacuous"
+
+
 def test_failed_one_off_check_fails_at_zero_samples():
     verdicts = {name: rep.verdict for name, rep in mutation_suite(seed=0, samples=0)}
     assert verdicts == {
@@ -78,3 +86,28 @@ def test_theorem_suite_reports_the_decomposition_failure():
         assert dec.verdict == thm.verdict == "fail"
         assert thm.counterexamples == dec.counterexamples
         assert dict(mutation_suite(seed))["indexer-shift"].counterexamples == dec.counterexamples
+
+
+def test_witness_command_merges_both_checks(monkeypatch, capsys):
+    cex = [{"clause": "ii-additivity", "witness": ["(0,0)", "(1,0)"]}]
+    failing = Report("check-cyclic", "fail", counterexamples=cex)
+    monkeypatch.setattr(cli, "check_cyclic", lambda *a: failing)
+    for samples, dec in (("20", "pass"), ("0", "vacuous")):
+        assert cli.main(["run", "witness", "gamma(lex(Z,Z),(2,1))", "--samples", samples]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["verdict"] == "fail" and rep["counterexamples"] == cex
+        assert rep["details"]["decomposition"] == dec and rep["details"]["cyclic"] == "fail"
+
+
+def test_monotone_witness_names_the_lower_slice_first():
+    # an order-reversing indexer breaks (a) in both directions
+    rev = PerfectWitness(L20, lambda x: 2 - x.value[0], W20.family, "strong")
+    seen = 0
+    for seed in range(20):
+        cex = check_decomposition(rev, 100, seed).counterexamples[0]
+        if cex["clause"] == "a-monotone":
+            low, high = (L20.algebra.elem(dsl.build_elem(L20.spec, dsl.parse_elem(e)))
+                         for e in cex["witness"])
+            assert rev.indexer(low) < rev.indexer(high), (seed, cex)
+            seen += 1
+    assert seen
