@@ -156,7 +156,7 @@ def check_decomposition(
         ("a-monotone", lambda x, y, v, t, *_: gr.g_cmp(hs, v, t) < 0 and not x.lt(y) and (x, y)),
         ("a-monotone", lambda x, y, v, t, *_: gr.g_cmp(hs, t, v) < 0 and not y.lt(x) and (y, x)),
         # (b) negation slice law M_t^- = M_{u-t} = M_t^~
-        ("b-negation", lambda x, y, v, *_: not idx(x.minus) == idx(x.tilde) == gr.g_sub(hs, uh, v)
+        ("b-negation", lambda x, y, v, *_: not (idx(x.minus) == idx(x.tilde) == gr.g_sub(hs, uh, v))
          and (x,)),
         # (c) oplus slice law with v (+) t = (v+t) /\ u
         ("c-oplus", lambda x, y, v, t, vt, *_: idx(x.oplus(y)) != gr.g_meet(hs, vt, uh) and (x, y)),
