@@ -6,7 +6,8 @@ t |-> a*t + beta with a > 0 -- closed under the lexicographic pair
 combinator ``lex(H, G)``.  All element values are exact, so equality and
 order are decidable and bit-stable: a Z value is an int, a Q value an int
 or a ``fractions.Fraction``, an Aff value four reduced ints, and a lex
-value a nested pair.
+value a nested pair.  Q computes on numerators and denominators and hands
+out plain Fractions, built without Fraction's own constructor.
 
 Aff is the designated non-Abelian linearly ordered group.  Its operation
 is map composition, (a1,b1)+(a2,b2) = (a1*a2, a1*b2+b1), and its order is
@@ -235,6 +236,73 @@ def _num_state(u):
     return lambda t: Fraction(t) / u
 
 
+def _frac(n: int, d: int) -> Fraction:
+    """The Fraction n/d, unchecked: n and d must be ints with gcd 1 and
+    d > 0, as the Q kernels' results are.  It skips Fraction.__new__ and
+    stores the two slots directly (Fraction has no __dict__, so a Python
+    that renamed them would fail here)."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+# The Q kernels compute on numerators and denominators.  A Q value is an
+# int or a Fraction, and the result types follow operator's: int op int
+# is an int, and any Fraction operand makes a Fraction, integral or not.
+
+
+def _q_add(a, b):
+    if a.__class__ is Fraction:
+        na, da = a._numerator, a._denominator
+    elif b.__class__ is Fraction:
+        na, da = a.numerator, a.denominator
+    else:
+        return a + b
+    if b.__class__ is Fraction:
+        nb, db = b._numerator, b._denominator
+    else:
+        nb, db = b.numerator, b.denominator
+    # CPython's Fraction._add: one gcd of the denominators, and a second
+    # only on the part of it that can still divide the numerator
+    g = gcd(da, db)
+    if g == 1:
+        return _frac(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _frac(t, s * db)
+    return _frac(t // g2, s * (db // g2))
+
+
+def _q_neg(a):
+    if a.__class__ is Fraction:
+        return _frac(-a._numerator, a._denominator)
+    return -a
+
+
+def _q_cmp(a, b) -> int:
+    if a.__class__ is Fraction:
+        na, da = a._numerator, a._denominator
+    else:
+        na, da = a.numerator, a.denominator
+    if b.__class__ is Fraction:
+        nb, db = b._numerator, b._denominator
+    else:
+        nb, db = b.numerator, b.denominator
+    left, right = na * db, nb * da
+    if left == right:
+        return 0
+    return -1 if left < right else 1
+
+
+def _q_sample(rng, bound) -> Fraction:
+    n, d = rng.randint(-bound, bound), rng.randint(1, 8)
+    g = gcd(n, d)
+    return _frac(n // g, d // g)
+
+
 def _aff_cmp(a: Aff, b: Aff) -> int:
     asn, asd, ahn, ahd = a.parts
     bsn, bsd, bhn, bhd = b.parts
@@ -308,11 +376,10 @@ def _require(ok, message: str):
 # the sampler's slopes, as (numerator, denominator)
 _AFF_SLOPES = ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))
 
-_NUMBER = dict(
-    add=operator.add, neg=operator.neg, cmp=_num_cmp, meet=lambda a, b: b if b < a else a,
-    join=lambda a, b: a if b < a else b, fmt=fmt_rat, central=lambda v: True, ord=_num_ord,
-    abelian=True, linear=True, archimedean=True,
-)
+_NUMBER = dict(fmt=fmt_rat, central=lambda v: True, ord=_num_ord, abelian=True, linear=True,
+               archimedean=True)
+_INT = dict(add=operator.add, neg=operator.neg, cmp=_num_cmp, meet=lambda a, b: b if b < a else a,
+            join=lambda a, b: a if b < a else b, **_NUMBER)
 
 # The base kinds.  Strong units rest on a documented argument, not a
 # search: Z takes any u >= 1 and Q any u > 0 (both are Archimedean); Aff
@@ -322,16 +389,17 @@ _NUMBER = dict(
 KINDS = {
     "O": GroupOps(
         zero=0, shape_ok=lambda v: _is_int(v) and v == 0, sample=lambda rng, bound: 0,
-        check_unit=lambda u: None, state=lambda u: None, scalars=None, trivial=True, **_NUMBER,
+        check_unit=lambda u: None, state=lambda u: None, scalars=None, trivial=True, **_INT,
     ),
     "Z": GroupOps(
         zero=0, shape_ok=_is_int, sample=lambda rng, bound: rng.randint(-bound, bound),
         check_unit=_require(lambda u: u >= 1, "strong unit of Z must be >= 1"),
-        state=_num_state, scalars="an integer", trivial=False, **_NUMBER,
+        state=_num_state, scalars="an integer", trivial=False, **_INT,
     ),
     "Q": GroupOps(
-        zero=Fraction(0), shape_ok=_is_rat,
-        sample=lambda rng, bound: Fraction(rng.randint(-bound, bound), rng.randint(1, 8)),
+        zero=Fraction(0), shape_ok=_is_rat, add=_q_add, neg=_q_neg, cmp=_q_cmp,
+        meet=lambda a, b: b if _q_cmp(a, b) > 0 else a,
+        join=lambda a, b: a if _q_cmp(a, b) > 0 else b, sample=_q_sample,
         check_unit=_require(lambda u: u > 0, "strong unit of Q must be > 0"),
         state=_num_state, scalars="an integer or Fraction", trivial=False, **_NUMBER,
     ),
