@@ -57,11 +57,11 @@ class PmvAlgebra:
         object.__setattr__(e, "value", value)
         return e
 
-    @property
+    @cached_property
     def zero(self) -> "PmvElem":
         return self.elem(self.ops.zero)
 
-    @property
+    @cached_property
     def one(self) -> "PmvElem":
         return self.elem(self.unit)
 

@@ -317,16 +317,17 @@ def build_phi(w: PerfectWitness) -> Mapping:
     c_top = w.family(uh)
     b_pair = gr.g_sub(spec, alg.unit, c_top.value)
     target = LexAlgebra(la.base, la.fiber, b_pair[1]).algebra
+    # element values are valid, so the fiber's ops run unchecked; the
+    # target's elem still checks that each image lies in [0, (u, b)]
+    f_add, f_neg = la.fiber.ops.add, la.fiber.ops.neg
 
     def fn(x: PmvElem) -> PmvElem:
         t = w.indexer(x)
-        diff = gr.g_sub(spec, x.value, w.family(t).value)
-        return target.elem((t, diff[1]))
+        return target.elem((t, f_add(x.value[1], f_neg(w.family(t).value[1]))))
 
     def preimage(y: PmvElem) -> PmvElem:
         t, g = y.value
-        ct_tail = w.family(t).value[1]
-        return alg.elem((t, gr.g_add(la.fiber, g, ct_tail)))
+        return alg.elem((t, f_add(g, w.family(t).value[1])))
 
     return Mapping(alg, target, fn, preimage, description="phi(x) = (t, x - c_t)")
 
