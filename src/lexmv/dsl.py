@@ -364,17 +364,34 @@ def build_algebra(node: Node):
     raise TypeError(f"not an algebra node: {node!r}")
 
 
+def _chain_unit(spec: GroupSpec, unit) -> Optional[int]:
+    """n when Gamma(spec, unit) is the chain Gamma(Z, n): spec is Z once
+    every trivial lex factor is dropped (with its coordinate of the unit),
+    and n >= 1.  None otherwise."""
+    while spec.kind == "lex":
+        if spec.left.ops.trivial:
+            spec, unit = spec.right, unit[1]
+        elif spec.right.ops.trivial:
+            spec, unit = spec.left, unit[0]
+        else:
+            return None
+    return unit if spec == gr.Z and unit >= 1 else None
+
+
 def finite_size(node: Node) -> Optional[int]:
     """The element count of the finite table an algebra node builds, read
-    off the AST without building it: chain(n) and gamma(Z, n) for a
-    positive integer n have n+1 elements, and prod multiplies.  None when
-    the node does not describe a valid finite algebra."""
+    off the AST without building the algebra: chain(n) and a gamma that
+    as_finite realizes as chain(n) have n+1 elements, and prod multiplies.
+    None when the node does not describe a valid finite algebra."""
     if isinstance(node, ChainNode):
         return node.n + 1
     if isinstance(node, GammaNode):
-        u = node.unit
-        if node.group.kind == "Z" and isinstance(u, RatNode) and u.value.denominator == 1:
-            return u.value.numerator + 1 if u.value > 0 else None
+        try:
+            spec = build_group(node.group)
+            n = _chain_unit(spec, build_elem(spec, node.unit))
+        except SemanticError:
+            return None
+        return None if n is None else n + 1
     if isinstance(node, ProdNode):
         left, right = finite_size(node.left), finite_size(node.right)
         if left is None or right is None:
@@ -384,9 +401,12 @@ def finite_size(node: Node) -> Optional[int]:
 
 
 def as_finite(alg, span=(1, 1)) -> FiniteMv:
-    """Realize an algebra as a table; only Gamma(Z, n) intervals are finite."""
+    """Realize an algebra as a table.  The finite intervals are those of Z
+    up to trivial lex factors: Gamma(lex(O,Z),(0,n)) is chain(n) too."""
     if isinstance(alg, FiniteMv):
         return alg
-    if isinstance(alg, PmvAlgebra) and alg.spec == gr.Z:
-        return make_chain(alg.unit)
+    if isinstance(alg, PmvAlgebra):
+        n = _chain_unit(alg.spec, alg.unit)
+        if n is not None:
+            return make_chain(n)
     raise SemanticError(f"{alg} is not a finite algebra", *span)

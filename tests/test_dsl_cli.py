@@ -108,6 +108,37 @@ def test_as_finite():
         as_finite(build_algebra(parse("gamma(lex(Z,Z),(1,0))")))
 
 
+# Z up to trivial lex factors: each of these is the chain {0, 1, 2, 3}
+TRIVIAL_FACTOR_CHAINS = ("gamma(lex(O,Z),(0,3))", "gamma(lex(Z,O),(3,0))",
+                         "gamma(lex(lex(O,O),lex(Z,O)),((0,0),(3,0)))")
+
+
+def test_as_finite_drops_trivial_factors():
+    chain = finite.make_chain(3)
+    for text in TRIVIAL_FACTOR_CHAINS:
+        assert dsl.finite_size(parse(text)) == 4, text
+        assert as_finite(build_algebra(parse(text))) == chain, text
+    assert dsl.finite_size(parse("prod(gamma(lex(O,Z),(0,2)),chain(1))")) == 6
+    # no chain: a trivial group alone, a nontrivial pair, a non-Z residue
+    # and an invalid literal
+    for text in ("gamma(O,0)", "gamma(lex(Z,Z),(1,0))", "gamma(lex(O,Q),(0,3))",
+                 "gamma(lex(O,Z),(1,3))"):
+        assert dsl.finite_size(parse(text)) is None, text
+    for text in ("gamma(O,0)", "gamma(lex(O,Q),(0,3))"):
+        with pytest.raises(SemanticError, match="is not a finite algebra"):
+            as_finite(build_algebra(parse(text)))
+
+
+@pytest.mark.parametrize("text", TRIVIAL_FACTOR_CHAINS)
+def test_cli_finite_commands_see_trivial_factor_chains(capsys, text):
+    for cmd in ("ideals", "radical", "states", "retractive", "lexid", "rdp2"):
+        expected = run_cli(capsys, "run", cmd, "chain(3)")
+        assert expected[0] in (0, 1)
+        assert run_cli(capsys, "run", cmd, text) == expected, cmd
+    code, out = run_cli(capsys, "run", "isomorphic", text, "--other", "chain(3)")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 def test_roundtrip_random_prints():
     rng = random.Random(31)
 
@@ -187,6 +218,7 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(dsl, "make_chain", no_build)
     for argv, size in [
         (("ideals", "gamma(Z,100000)"), 100001),
+        (("ideals", "gamma(lex(O,Z),(0,100000))"), 100001),
         (("rdp2", "prod(chain(3),prod(chain(2),chain(1)))"), 24),
         (("isomorphic", "--table", str(small), "--other", "gamma(Z,50)"), 51),
     ]:
