@@ -9,7 +9,7 @@ the CLI, mutation tests and the acceptance gate can certify it.
 from __future__ import annotations
 
 from . import groups as gr
-from .algebra import PmvAlgebra, iterate, oplus_via_pea
+from .algebra import PmvAlgebra, iterate, oplus_via_pea, residuals
 from .reports import Report, run_suite
 from .sampling import DEFAULT_BOUND, sample_elem
 
@@ -68,7 +68,7 @@ def partial_sum_report(
 ) -> Report:
     """PE1-PE4 on sampled triples where defined, the partial-sum/group-sum
     agreement, and the truncated-sum closed form n.x = (n*x) /\\ u."""
-    spec, u = alg.spec, alg.unit
+    spec, ops, u = alg.spec, alg.ops, alg.unit
     one, zero_e = alg.one, alg.zero
 
     def draw(rng):
@@ -88,10 +88,9 @@ def partial_sum_report(
         # a+b = d+a = b+e with d = (a+b)-a and e = -b+(a+b)
         if ab is None:
             return None
-        d = alg.elem(gr.g_sub(spec, ab.value, a.value))
-        e = alg.elem(gr.g_add(spec, gr.g_neg(spec, b.value), ab.value))
-        return (gr.g_add(spec, d.value, a.value) != ab.value
-                or gr.g_add(spec, b.value, e.value) != ab.value) and (a, b)
+        d, e = residuals(ab, a)[0], residuals(ab, b)[1]
+        return (ops.add(d.value, a.value) != ab.value
+                or ops.add(b.value, e.value) != ab.value) and (a, b)
 
     clauses = [
         ("PE1", pe1),
@@ -104,9 +103,9 @@ def partial_sum_report(
          and (a.partial_add(one) is not None or one.partial_add(a) is not None) and (a,)),
         # (2.1): where defined, the partial sum is the plain group sum
         ("partial-sum-is-group-sum", lambda a, b, c, ab, n: ab is not None
-         and ab.value != gr.g_add(spec, a.value, b.value) and (a, b)),
+         and ab.value != ops.add(a.value, b.value) and (a, b)),
         # closed form for truncated sums
         ("truncated-closed-form", lambda a, b, c, ab, n: iterate(a, n, "truncated").value
-         != gr.g_meet(spec, gr.g_nmul(spec, a.value, n), u) and (a, n)),
+         != ops.meet(gr.g_nmul(spec, a.value, n), u) and (a, n)),
     ]
     return run_suite("partial-sum", samples, seed, draw, clauses, algebra=str(alg))

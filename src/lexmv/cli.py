@@ -15,7 +15,7 @@ import time
 
 from . import dsl, finite
 from . import groups as gr
-from .algebra import IntervalError, PmvAlgebra
+from .algebra import IntervalError
 from .axioms import axiom_report
 from .finite import CapExceeded, FiniteMv
 from .reports import Report, canonical_json
@@ -39,7 +39,8 @@ FINITE_COMMANDS = (
     "rdp2",
     "isomorphic",
 )
-COMMANDS = ("check-axioms", "classify", "witness", "lexify") + FINITE_COMMANDS
+LEX_COMMANDS = ("classify", "witness", "lexify")
+COMMANDS = ("check-axioms",) + LEX_COMMANDS + FINITE_COMMANDS
 
 
 class UsageError(ValueError):
@@ -70,38 +71,41 @@ def _check_cap(size, cap: int) -> None:
         raise CapExceeded(f"algebra has {size} elements, cap is {cap}")
 
 
-def _build(text: str, cap=None) -> object:
-    """Parse and build an algebra expression.  With a cap, a finite algebra
-    whose size the expression determines is rejected before it is built;
-    any other expression is built, so its own errors are reported."""
+_NEEDS_LEX = "this command needs a gamma(lex(...),...) algebra"
+
+
+def _build(text: str, cmd: str, cap: int) -> object:
+    """Parse and build an algebra expression for cmd.  Before any build,
+    the lex commands refuse a chain or prod, and the size of a chain or
+    prod (for the finite commands also of a gamma that is a chain) is
+    checked against the cap.  Any other expression is built, so its own
+    errors are reported."""
     node = dsl.parse(text)
-    if cap is not None:
+    table = not isinstance(node, dsl.GammaNode)
+    if table and cmd in LEX_COMMANDS:
+        raise UsageError(_NEEDS_LEX)
+    if table or cmd in FINITE_COMMANDS:
         _check_cap(dsl.finite_size(node), cap)
     return dsl.build_algebra(node)
 
 
-def _load(args, cap=None) -> object:
+def _load(args) -> object:
     if args.table:
+        if args.command in LEX_COMMANDS:
+            raise UsageError(_NEEDS_LEX)
         with open(args.table) as fh:
             text = fh.read()
-        if cap is not None:
-            _check_cap(finite.table_size(text), cap)
+        _check_cap(finite.table_size(text), args.cap)
         return finite.parse_table(text)
     if args.dsl is None:
         raise UsageError("an algebra expression or --table is required")
-    return _build(args.dsl, cap)
+    return _build(args.dsl, args.command, args.cap)
 
 
 def _need_finite(alg, cap: int) -> FiniteMv:
     fin = dsl.as_finite(alg)
     _check_cap(fin.size, cap)
     return fin
-
-
-def _need_lex(alg) -> LexAlgebra:
-    if not isinstance(alg, PmvAlgebra):
-        raise UsageError("this command needs a gamma(lex(...),...) algebra")
-    return LexAlgebra.from_algebra(alg)
 
 
 def _default_kind(args, la: LexAlgebra) -> str:
@@ -132,14 +136,14 @@ def _check_flags(args) -> None:
 def _run_command(args) -> Report:
     _check_flags(args)
     cmd = args.command
-    alg = _load(args, args.cap if cmd in FINITE_COMMANDS else None)
+    alg = _load(args)
     if cmd == "check-axioms":
         if isinstance(alg, FiniteMv):
             return finite.check_axioms(alg)
         return axiom_report(alg, args.samples, args.seed, args.bound)
 
     if cmd == "classify":
-        la = _need_lex(alg)
+        la = LexAlgebra.from_algebra(alg)
         if args.elem is None:
             raise UsageError("classify needs --elem")
         value = dsl.build_elem(la.spec, dsl.parse_elem(args.elem))
@@ -150,12 +154,12 @@ def _run_command(args) -> Report:
             raise UsageError(f"--elem {exc}") from None
         t = classify(w, elem)
         rep = Report("classify", "pass", seed=args.seed)
-        rep.details["element"] = gr.fmt_elem(la.spec, value)
-        rep.details["slice"] = gr.fmt_elem(la.base.spec, t)
+        rep.details["element"] = la.spec.ops.fmt(value)
+        rep.details["slice"] = la.base.spec.ops.fmt(t)
         return rep
 
     if cmd == "witness":
-        la = _need_lex(alg)
+        la = LexAlgebra.from_algebra(alg)
         kind = _default_kind(args, la)
         w = canonical_witness(la, kind)
         dec = check_decomposition(w, args.samples, args.seed, args.bound)
@@ -166,14 +170,14 @@ def _run_command(args) -> Report:
         return rep
 
     if cmd == "lexify":
-        la = _need_lex(alg)
+        la = LexAlgebra.from_algebra(alg)
         kind = _default_kind(args, la)
         w = canonical_witness(la, kind)
         phi = build_phi(w)
         rep = verify_hom(phi, args.samples, args.seed, args.bound)
         rep.command = "lexify"
         b = phi.target.unit[1]
-        rep.details["b"] = gr.fmt_elem(la.spec, (gr.zero(la.base.spec), b))
+        rep.details["b"] = la.spec.ops.fmt((la.base.spec.ops.zero, b))
         rep.details["kind"] = kind
         rep.details["target"] = str(phi.target)
         return rep
@@ -251,7 +255,7 @@ def _run_command(args) -> Report:
     if cmd == "isomorphic":
         if args.other is None:
             raise UsageError("isomorphic needs --other with a second algebra")
-        b = _need_finite(_build(args.other, args.cap), args.cap)
+        b = _need_finite(_build(args.other, cmd, args.cap), args.cap)
         ok, bij = finite.brute_isomorphic(a, b)
         rep = Report("isomorphic", "pass" if ok else "fail")
         rep.details["sizes"] = [a.size, b.size]
@@ -272,19 +276,22 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     t0 = time.perf_counter()
     try:
-        rep = _run_command(args)
+        try:
+            rep = _run_command(args)
+        except CapExceeded as exc:
+            rep = Report(args.command, "cap-exceeded")
+            rep.details["reason"] = str(exc)
+        rep.elapsed = time.perf_counter() - t0
+        text = canonical_json(rep, include_timing=args.with_timing)
+        # the file before stdout: a path that cannot be written ends in
+        # the one-line error alone
+        if args.json_path:
+            with open(args.json_path, "w", newline="") as fh:
+                fh.write(text)
     except (dsl.ParseError, UsageError, OSError, finite.TableError, WitnessError) as exc:
         print(f"lexmv: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
-        rep = Report(args.command, "cap-exceeded")
-        rep.details["reason"] = str(exc)
-    rep.elapsed = time.perf_counter() - t0
-    text = canonical_json(rep, include_timing=args.with_timing)
     sys.stdout.write(text)
-    if args.json_path:
-        with open(args.json_path, "w", newline="") as fh:
-            fh.write(text)
     return 0 if rep.ok else 1
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Optional
 
 from .reports import Report
@@ -31,6 +30,10 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteMv:
+    """A table algebra.  The axioms are checked at construction unless
+    unchecked is set, which only the library's own constructions do: their
+    tables satisfy the axioms whenever their inputs do."""
+
     size: int
     oplus: tuple  # size x size index table
     neg: tuple  # size index table
@@ -128,7 +131,7 @@ def make_chain(n: int) -> FiniteMv:
     m = n + 1
     op = tuple(tuple(min(i + j, n) for j in range(m)) for i in range(m))
     ng = tuple(n - i for i in range(m))
-    return FiniteMv(m, op, ng, 0, n)
+    return FiniteMv(m, op, ng, 0, n, unchecked=True)
 
 
 def make_product(a: FiniteMv, b: FiniteMv) -> FiniteMv:
@@ -148,7 +151,7 @@ def make_product(a: FiniteMv, b: FiniteMv) -> FiniteMv:
     labels = tuple(
         f"({a.labels[i]},{b.labels[j]})" for i in range(a.size) for j in range(b.size)
     )
-    return FiniteMv(m, op, ng, idx(a.zero, b.zero), idx(a.one, b.one), labels)
+    return FiniteMv(m, op, ng, idx(a.zero, b.zero), idx(a.one, b.one), labels, unchecked=True)
 
 
 def make_subalgebra(a: FiniteMv, subset) -> FiniteMv:
@@ -169,7 +172,7 @@ def make_subalgebra(a: FiniteMv, subset) -> FiniteMv:
     op = tuple(tuple(pos[a.oplus[x][y]] for y in elems) for x in elems)
     ng = tuple(pos[a.neg[x]] for x in elems)
     labels = tuple(a.labels[x] for x in elems)
-    return FiniteMv(m, op, ng, pos[a.zero], pos[a.one], labels)
+    return FiniteMv(m, op, ng, pos[a.zero], pos[a.one], labels, unchecked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +212,19 @@ def _quot_le(a: FiniteMv, mask: int, x: int, y: int) -> bool:
     return bool(mask >> a.odot(x, a.neg[y]) & 1)
 
 
+def _is_normal(a: FiniteMv, mask: int) -> bool:
+    """x (+) I = I (+) x for every x."""
+    members = [i for i in range(a.size) if mask >> i & 1]
+    return all(
+        {a.oplus[x][i] for i in members} == {a.oplus[i][x] for i in members}
+        for x in range(a.size)
+    )
+
+
 def ideal_flags(a: FiniteMv, mask: int, all_ideals=None) -> IdealInfo:
     n = a.size
     full = (1 << n) - 1
-    members = [i for i in range(n) if mask >> i & 1]
-    normal = all(
-        {a.oplus[x][i] for i in members} == {a.oplus[i][x] for i in members}
-        for x in range(n)
-    )
+    normal = _is_normal(a, mask)
     if all_ideals is None:
         all_ideals = enumerate_ideal_masks(a)
     maximal = mask != full and not any(
@@ -314,11 +322,7 @@ def quotient(a: FiniteMv, mask: int) -> tuple:
     """(A / I, projection list); I must be a normal ideal."""
     if not _is_ideal(a, mask):
         raise TableError("not an ideal")
-    members = [i for i in range(a.size) if mask >> i & 1]
-    if any(
-        {a.oplus[x][i] for i in members} != {a.oplus[i][x] for i in members}
-        for x in range(a.size)
-    ):
+    if not _is_normal(a, mask):
         raise TableError("quotient needs a normal ideal")
     proj = [-1] * a.size
     reps = []
@@ -334,58 +338,68 @@ def quotient(a: FiniteMv, mask: int) -> tuple:
     op = tuple(tuple(proj[a.oplus[reps[i]][reps[j]]] for j in range(m)) for i in range(m))
     ng = tuple(proj[a.neg[reps[i]]] for i in range(m))
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
-    q = FiniteMv(m, op, ng, proj[a.zero], proj[a.one], labels)
+    q = FiniteMv(m, op, ng, proj[a.zero], proj[a.one], labels, unchecked=True)
     return q, tuple(proj)
 
 
-def is_retractive(a: FiniteMv, mask: int) -> tuple:
-    """(bool, section) where section s: A/I -> A is a homomorphism with
-    proj(s(q)) = q; found by backtracking with s(0) = 0, s(1) = 1 forced
-    and neg-consistency pruning."""
-    q, proj = quotient(a, mask)
-    fibers = [[x for x in range(a.size) if proj[x] == k] for k in range(q.size)]
-    sec = [-1] * q.size
-    sec[q.zero] = a.zero
-    sec[q.one] = a.one
+def _find_hom(a: FiniteMv, b: FiniteMv, choices) -> Optional[tuple]:
+    """The first one-to-one map f: A -> B with f(x) in choices[x] that
+    preserves 0, 1, neg and (+), as a tuple, or None.  Backtracking
+    assigns the slots in index order, after f(0) = 0 and f(1) = 1, and
+    prunes every partial map that already breaks neg or (+)."""
+    f = [-1] * a.size
+    f[a.zero] = b.zero
+    f[a.one] = b.one
+    used = [False] * b.size
+    used[b.zero] = used[b.one] = True
 
-    def consistent(k: int) -> bool:
-        nk = q.neg[k]
-        if sec[nk] >= 0 and sec[nk] != a.neg[sec[k]]:
+    def consistent(x: int) -> bool:
+        nx = a.neg[x]
+        if f[nx] >= 0 and f[nx] != b.neg[f[x]]:
             return False
-        for j in range(q.size):
-            if sec[j] < 0:
+        for y in range(a.size):
+            if f[y] < 0:
                 continue
-            for u, v in ((k, j), (j, k)):
-                t = q.oplus[u][v]
-                if sec[t] >= 0 and a.oplus[sec[u]][sec[v]] != sec[t]:
+            for u, v in ((x, y), (y, x)):
+                t = a.oplus[u][v]
+                if f[t] >= 0 and b.oplus[f[u]][f[v]] != f[t]:
                     return False
         # pairs of earlier slots whose sum lands on the new slot
-        for u in range(q.size):
-            if sec[u] < 0:
+        for u in range(a.size):
+            if f[u] < 0:
                 continue
-            for v in range(q.size):
-                if sec[v] >= 0 and q.oplus[u][v] == k and a.oplus[sec[u]][sec[v]] != sec[k]:
+            for v in range(a.size):
+                if f[v] >= 0 and a.oplus[u][v] == x and b.oplus[f[u]][f[v]] != f[x]:
                     return False
         return True
 
-    order = [k for k in range(q.size) if sec[k] < 0]
+    order = [x for x in range(a.size) if f[x] < 0]
 
     def search(i: int) -> bool:
         if i == len(order):
             return True
-        k = order[i]
-        for cand in fibers[k]:
-            sec[k] = cand
-            if consistent(k) and search(i + 1):
+        x = order[i]
+        for y in choices[x]:
+            if used[y]:
+                continue
+            f[x], used[y] = y, True
+            if consistent(x) and search(i + 1):
                 return True
-            sec[k] = -1
+            f[x], used[y] = -1, False
         return False
 
-    if not (consistent(q.zero) and consistent(q.one)):
-        return False, None
-    if search(0):
-        return True, tuple(sec)
-    return False, None
+    if consistent(a.zero) and consistent(a.one) and search(0):
+        return tuple(f)
+    return None
+
+
+def is_retractive(a: FiniteMv, mask: int) -> tuple:
+    """(bool, section) where section s: A/I -> A is a homomorphism with
+    proj(s(q)) = q: a hom search whose choices for q are the fiber of q
+    (disjoint fibers make every section one-to-one)."""
+    q, proj = quotient(a, mask)
+    sec = _find_hom(q, a, [[x for x in range(a.size) if proj[x] == k] for k in range(q.size)])
+    return sec is not None, sec
 
 
 def _closure(a: FiniteMv, seed_mask: int) -> int:
@@ -551,50 +565,16 @@ def _rdp2_cell(a: FiniteMv, sub, a1, a2, b1, b2) -> bool:
 
 
 def brute_isomorphic(a: FiniteMv, b: FiniteMv) -> tuple:
-    """(bool, bijection) by backtracking over structure-preserving maps,
-    pruned by matching element orders."""
+    """(bool, bijection) by a hom search that maps each element to one of
+    the same order."""
     if a.size != b.size:
         return False, None
     orda = [a.ord_of(x) for x in range(a.size)]
     ordb = [b.ord_of(x) for x in range(b.size)]
     if sorted(orda, key=str) != sorted(ordb, key=str):
         return False, None
-    f = [-1] * a.size
-    used = [False] * b.size
-    f[a.zero], used[b.zero] = b.zero, True
-    if a.one != a.zero:
-        f[a.one], used[b.one] = b.one, True
-
-    def consistent(x: int) -> bool:
-        if f[a.neg[x]] >= 0 and f[a.neg[x]] != b.neg[f[x]]:
-            return False
-        for y in range(a.size):
-            if f[y] < 0:
-                continue
-            for u, v in ((x, y), (y, x)):
-                t = a.oplus[u][v]
-                if f[t] >= 0 and b.oplus[f[u]][f[v]] != f[t]:
-                    return False
-        return True
-
-    order = [x for x in range(a.size) if f[x] < 0]
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in range(b.size):
-            if used[y] or orda[x] != ordb[y]:
-                continue
-            f[x], used[y] = y, True
-            if consistent(x) and search(i + 1):
-                return True
-            f[x], used[y] = -1, False
-        return False
-
-    if not (consistent(a.zero) and consistent(a.one)) or not search(0):
-        return False, None
-    return True, tuple(f)
+    f = _find_hom(a, b, [[y for y in range(b.size) if ordb[y] == orda[x]] for x in range(a.size)])
+    return f is not None, f
 
 
 # ---------------------------------------------------------------------------

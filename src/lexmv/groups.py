@@ -604,7 +604,7 @@ class UnitalGroup:
         ops.check_unit(self.unit)
 
     def __str__(self) -> str:
-        return f"({self.spec},{fmt_elem(self.spec, self.unit)})"
+        return f"({self.spec},{self.spec.ops.fmt(self.unit)})"
 
 
 # ---------------------------------------------------------------------------

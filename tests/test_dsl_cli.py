@@ -199,6 +199,12 @@ def test_cli_cap_exceeded(capsys):
     assert json.loads(out)["verdict"] == "cap-exceeded"
     code, out = run_cli(capsys, "run", "ideals", "chain(20)", "--cap", "30")
     assert code == 0
+    # check-axioms scans a table but samples a gamma, so only the table is capped
+    code, out = run_cli(capsys, "run", "check-axioms", "chain(20)")
+    assert code == 1 and json.loads(out)["verdict"] == "cap-exceeded"
+    for argv in (("chain(20)", "--cap", "21"), ("gamma(Z,200)", "--samples", "20")):
+        code, out = run_cli(capsys, "run", "check-axioms", *argv)
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
 def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
@@ -221,6 +227,8 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
         (("ideals", "gamma(lex(O,Z),(0,100000))"), 100001),
         (("rdp2", "prod(chain(3),prod(chain(2),chain(1)))"), 24),
         (("isomorphic", "--table", str(small), "--other", "gamma(Z,50)"), 51),
+        (("check-axioms", "chain(200)"), 201),
+        (("check-axioms", "prod(chain(200),chain(1))"), 402),
     ]:
         code, out = run_cli(capsys, "run", *argv)
         assert code == 1
@@ -228,9 +236,10 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
         assert rep["verdict"] == "cap-exceeded"
         assert rep["details"]["reason"] == f"algebra has {size} elements, cap is 12"
     monkeypatch.setattr(finite, "parse_table", no_build)
-    code, out = run_cli(capsys, "run", "states", "--table", str(big))
-    assert code == 1
-    assert json.loads(out)["details"]["reason"] == "algebra has 13 elements, cap is 12"
+    for cmd in ("states", "check-axioms"):
+        code, out = run_cli(capsys, "run", cmd, "--table", str(big))
+        assert code == 1
+        assert json.loads(out)["details"]["reason"] == "algebra has 13 elements, cap is 12"
 
 
 def test_cli_byte_identical_runs(capsys):
@@ -253,6 +262,36 @@ def test_cli_json_file(tmp_path, capsys):
     assert path.read_text() == out
     rep = json.loads(out)
     assert rep["details"]["rad"] == ["(0,0)"]
+
+
+def test_cli_json_to_unwritable_path(tmp_path, capsys):
+    # the file is written before stdout, so the error is all that is printed
+    missing = tmp_path / "missing" / "x.json"
+    code = cli.main(["run", "check-axioms", "gamma(Z,2)", "--json", str(missing)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("lexmv: ") and err.count("\n") == 1
+
+
+def test_cli_lex_commands_refuse_tables_before_build(capsys, monkeypatch, tmp_path):
+    def no_build(*args):
+        raise AssertionError("a table was built")
+
+    small = tmp_path / "small.tbl"
+    small.write_text(finite.format_table(finite.make_chain(2)))
+    for name in ("make_chain", "make_product"):
+        monkeypatch.setattr(dsl, name, no_build)
+    monkeypatch.setattr(finite, "parse_table", no_build)
+    for argv in (
+        ("witness", "prod(chain(200),chain(1))"),
+        ("lexify", "chain(200)"),
+        ("classify", "chain(4)", "--elem", "1"),
+        ("witness", "--table", str(small)),
+    ):
+        code = cli.main(["run", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv
+        assert err == "lexmv: this command needs a gamma(lex(...),...) algebra\n", argv
 
 
 def test_cli_table_input(tmp_path, capsys):

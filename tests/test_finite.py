@@ -312,3 +312,62 @@ def test_polynomial_oracle_matches_brute_force():
             assert has_complement(a, m) == brute_has_complement(a, m), (str(a), m)
         closed = {s for s in range(1 << a.size) if brute_is_subalgebra(a, s)}
         assert set(finite._subalgebra_masks(a)) == closed, str(a)
+
+
+# ---------------------------------------------------------------------------
+# References for the trusted builds and the hom searches
+
+
+def preserves(a, b, f):
+    """f (a tuple over A's indices) maps 0, 1, neg and (+) of A onto B's."""
+    n = range(a.size)
+    return (f[a.zero] == b.zero and f[a.one] == b.one
+            and all(f[a.neg[x]] == b.neg[f[x]] for x in n)
+            and all(f[a.oplus[x][y]] == b.oplus[f[x]][f[y]] for x in n for y in n))
+
+
+def library_tables(rng):
+    """Every table that make_chain, make_product, make_subalgebra and
+    quotient build from finite_catalog(12) and seeded relabelings of it."""
+    catalog = finite_catalog(12)
+    tables = list(catalog)
+    for a in catalog:
+        for b in catalog:
+            if a.size * b.size <= 12:
+                tables.append(make_product(relabel(a, rng), relabel(b, rng)))
+    for a in catalog:
+        for t in (a, relabel(a, rng)):
+            for s in finite._subalgebra_masks(t):
+                tables.append(make_subalgebra(t, [i for i in range(t.size) if s >> i & 1]))
+            for m in finite.enumerate_ideal_masks(t):
+                tables.append(quotient(t, m)[0])
+    return tables
+
+
+def test_library_tables_pass_the_axiom_scan():
+    # these builds skip the scan in FiniteMv; the scan is their reference
+    tables = library_tables(random.Random(10))
+    assert len(tables) > 300
+    for t in tables:
+        assert finite.check_axioms(t).ok, (str(t), t.labels)
+
+
+def test_hom_searches_return_homomorphisms():
+    rng = random.Random(11)
+    catalog = finite_catalog(12)
+    for a in catalog:
+        for t in (a, relabel(a, rng)):
+            for m in finite.enumerate_ideal_masks(t):
+                ok, sec = is_retractive(t, m)
+                if ok:
+                    q, proj = quotient(t, m)
+                    assert preserves(q, t, sec), (str(t), m)
+                    assert all(proj[sec[k]] == k for k in range(q.size))
+        for b in catalog:
+            if b.size != a.size:
+                continue
+            r = relabel(b, rng)
+            ok, bij = brute_isomorphic(a, r)
+            assert ok or a is not b
+            if ok:
+                assert preserves(a, r, bij) and len(set(bij)) == a.size

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lexmv import cli, dsl
+from lexmv import cli, dsl, witnesses
 from lexmv import groups as gr
 from lexmv.axioms import axiom_report, partial_sum_report, pea_equivalence_report
 from lexmv.reports import Report
@@ -111,3 +111,20 @@ def test_monotone_witness_names_the_lower_slice_first():
             assert rev.indexer(low) < rev.indexer(high), (seed, cex)
             seen += 1
     assert seen
+
+
+def test_indexer_values_are_shape_checked_where_they_enter(monkeypatch):
+    # a witness's indexer is outside input: a value of the wrong shape (1 is
+    # no element of O) raises ShapeError, not an index-range failure
+    la = LexAlgebra.from_algebra(dsl.build_algebra(dsl.parse("gamma(lex(O,Z),(0,3))")))
+    w = canonical_witness(la, "weak")
+    bad = PerfectWitness(la, lambda x: x.value[0] + 1, w.family, "weak")
+    with pytest.raises(gr.ShapeError):
+        check_decomposition(bad, 50)
+    with pytest.raises(gr.ShapeError):
+        theorem_suite(bad, 50)
+    # theorem_suite's own draw checks too, past a decomposition check that passes
+    monkeypatch.setattr(witnesses, "check_decomposition",
+                        lambda *a: Report("check-decomposition", "pass"))
+    with pytest.raises(gr.ShapeError):
+        theorem_suite(bad, 50)
