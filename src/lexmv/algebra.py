@@ -44,17 +44,26 @@ class PmvAlgebra:
     def ops(self) -> gr.GroupOps:
         return self.group.spec.ops
 
+    def __reduce__(self):
+        # the cached ops record holds lambdas, so rebuild from the group
+        return (PmvAlgebra, (self.group,))
+
     def elem(self, value) -> "PmvElem":
         """The element with this value, after checking its shape and its
         membership in [0, u]."""
-        return PmvElem(self, value)
+        ops = self.ops
+        if not ops.shape_ok(value):
+            raise gr.ShapeError(f"value {value!r} does not match spec {self.spec}")
+        if ops.cmp(value, ops.zero) < 0 or ops.cmp(value, self.unit) > 0:
+            raise IntervalError(f"{ops.fmt(value)} outside [0, u] in {self}")
+        return self._make(value)
 
     def _make(self, value) -> "PmvElem":
         """The element with this value, unchecked: for values computed by
         the operations of this algebra, which stay in [0, u]."""
-        e = object.__new__(PmvElem)
-        object.__setattr__(e, "algebra", self)
-        object.__setattr__(e, "value", value)
+        e = _new(PmvElem)
+        _set_algebra(e, self)
+        _set_value(e, value)
         return e
 
     @cached_property
@@ -87,17 +96,18 @@ class PmvElem:
     with ``alg._make``, which does not re-validate them.
     """
 
+    # declared here, not by slots=True, which rebuilds the class and
+    # breaks the frozen __setattr__ on names that are not fields
+    __slots__ = ("algebra", "value")
     algebra: PmvAlgebra
     value: object
 
     def __post_init__(self):
-        alg = self.algebra
-        gr.check_shape(alg.spec, self.value)
-        ops = alg.ops
-        if ops.cmp(self.value, ops.zero) < 0 or ops.cmp(self.value, alg.unit) > 0:
-            raise IntervalError(
-                f"{ops.fmt(self.value)} outside [0, u] in {alg}"
-            )
+        self.algebra.elem(self.value)
+
+    def __reduce__(self):
+        # a pickle is outside input: unpickling re-validates the value
+        return (self.algebra.elem, (self.value,))
 
     def _same(self, other: "PmvElem") -> None:
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -177,6 +187,12 @@ class PmvElem:
 
     def __str__(self) -> str:
         return self.algebra.ops.fmt(self.value)
+
+
+# the slots' own setters, which the frozen __setattr__ does not guard
+_new = object.__new__
+_set_algebra = PmvElem.algebra.__set__
+_set_value = PmvElem.value.__set__
 
 
 def residuals(x: PmvElem, y: PmvElem) -> tuple[PmvElem, PmvElem]:

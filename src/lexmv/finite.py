@@ -352,6 +352,11 @@ def _find_hom(a: FiniteMv, b: FiniteMv, choices) -> Optional[tuple]:
     f[a.one] = b.one
     used = [False] * b.size
     used[b.zero] = used[b.one] = True
+    # preimages[t]: the pairs (u, v) with u (+) v = t
+    preimages = [[] for _ in range(a.size)]
+    for u, row in enumerate(a.oplus):
+        for v, t in enumerate(row):
+            preimages[t].append((u, v))
 
     def consistent(x: int) -> bool:
         nx = a.neg[x]
@@ -365,12 +370,9 @@ def _find_hom(a: FiniteMv, b: FiniteMv, choices) -> Optional[tuple]:
                 if f[t] >= 0 and b.oplus[f[u]][f[v]] != f[t]:
                     return False
         # pairs of earlier slots whose sum lands on the new slot
-        for u in range(a.size):
-            if f[u] < 0:
-                continue
-            for v in range(a.size):
-                if f[v] >= 0 and a.oplus[u][v] == x and b.oplus[f[u]][f[v]] != f[x]:
-                    return False
+        for u, v in preimages[x]:
+            if f[u] >= 0 and f[v] >= 0 and b.oplus[f[u]][f[v]] != f[x]:
+                return False
         return True
 
     order = [x for x in range(a.size) if f[x] < 0]

@@ -58,6 +58,10 @@ class GroupSpec:
         """The compiled rules of this group (see GroupOps)."""
         return _compile(self)
 
+    def __reduce__(self):
+        # the cached ops record holds lambdas, so rebuild from the fields
+        return (GroupSpec, (self.kind, self.left, self.right))
+
     def __str__(self) -> str:
         if self.kind == "lex":
             return f"lex({self.left},{self.right})"
@@ -295,6 +299,16 @@ def _q_cmp(a, b) -> int:
     if left == right:
         return 0
     return -1 if left < right else 1
+
+
+def _q_mul(k, a):
+    """k * a for Q (or Z) values, as CPython's Fraction._mul computes it:
+    each numerator is reduced by the gcd with the other's denominator."""
+    if k.__class__ is not Fraction and a.__class__ is not Fraction:
+        return k * a
+    nk, dk, na, da = k.numerator, k.denominator, a.numerator, a.denominator
+    g1, g2 = gcd(nk, da), gcd(na, dk)
+    return _frac((nk // g1) * (na // g2), (dk // g2) * (da // g1))
 
 
 def _q_sample(rng, bound) -> Fraction:
@@ -612,6 +626,12 @@ class UnitalGroup:
 
 _HOM_VALIDATION_SAMPLES = 500
 
+# The pairwise and compose presentations that passed _sampled_validation.
+# The check is a pure function of the presentation (a fixed seed, and
+# numeric comparisons only), so a presentation equal to one in this set
+# passes again.  Failures are not stored: they raise every time.
+_VALIDATED: set = set()
+
 
 @dataclass(frozen=True)
 class GroupHom:
@@ -626,7 +646,8 @@ class GroupHom:
     are also checked on 500 seeded samples and rejected with HomError if
     they fail to preserve +, negation, join or meet: a pairwise map with a
     non-injective head, such as pairwise(scale(Z, 0), identity(Z)), is no
-    l-homomorphism, and only the sampled check catches it.
+    l-homomorphism, and only the sampled check catches it.  The check
+    runs once per presentation per process (see _VALIDATED).
     """
 
     source: GroupSpec
@@ -636,8 +657,9 @@ class GroupHom:
 
     def __post_init__(self):
         self._check_presentation()
-        if self.kind in ("pairwise", "compose"):
+        if self.kind in ("pairwise", "compose") and self not in _VALIDATED:
             self._sampled_validation()
+            _VALIDATED.add(self)
 
     def _check_presentation(self):
         if self.kind == "identity":
@@ -680,8 +702,7 @@ class GroupHom:
         if self.kind == "zero":
             return zero(self.target)
         if self.kind == "scale":
-            (k,) = self.payload
-            return k * a
+            return _q_mul(self.payload[0], a)
         if self.kind == "pairwise":
             h1, h2 = self.payload
             return (h1._raw_apply(a[0]), h2._raw_apply(a[1]))

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from fractions import Fraction
@@ -9,6 +12,7 @@ from lexmv.algebra import (
     CrossAlgebraError,
     IntervalError,
     PmvAlgebra,
+    PmvElem,
     iterate,
     oplus_via_pea,
     ord_of,
@@ -247,3 +251,87 @@ def test_unchecked_results_pass_the_boundary_check():
             for e in built:
                 assert e.algebra is a
                 assert a.elem(e.value) == e, (str(a), e.value)
+
+
+# ---------------------------------------------------------------------------
+# The slotted element and its boundary check
+
+SAMPLED_CATALOG = {
+    "Z7": alg(gr.Z, 7),
+    "Q3-2": alg(gr.Q, Fraction(3, 2)),
+    "Aff2": alg(gr.AFF, gr.Aff(2, 0)),
+    "ZxZ21": alg(ZZ, (2, 1)),
+    "ZxAff": alg(ZAFF, (1, gr.Aff(2, 0))),
+    "ZxZ20": alg(ZZ, (2, 0)),
+    "QxQ": alg(gr.lex(gr.Q, gr.Q), (Fraction(3, 2), 0)),
+}
+
+
+def ref_elem_error(a, v):
+    """The error the element check raises on v, as a dataclass
+    __post_init__ once raised it: check_shape, then membership of [0, u]."""
+    try:
+        gr.check_shape(a.spec, v)
+    except gr.ShapeError as exc:
+        return exc
+    ops = a.ops
+    if ops.cmp(v, ops.zero) < 0 or ops.cmp(v, a.unit) > 0:
+        return IntervalError(f"{ops.fmt(v)} outside [0, u] in {a}")
+    return None
+
+
+def test_elem_and_constructor_raise_the_reference_errors():
+    odd = [True, 1.5, "1", None, (0,), (0, 0, 0), Fraction(1, 2), -3, 10**9, (1, True)]
+    rng = random.Random(41)
+    for a in SAMPLED_CATALOG.values():
+        values = odd + [a.unit, a.ops.zero] + [a.ops.sample(rng, 25) for _ in range(60)]
+        for v in values:
+            want = ref_elem_error(a, v)
+            for build in (a.elem, lambda v: PmvElem(a, v)):
+                if want is None:
+                    e = build(v)
+                    assert (e.algebra, e.value) == (a, v)
+                    continue
+                with pytest.raises(type(want)) as info:
+                    build(v)
+                assert type(info.value) is type(want) and str(info.value) == str(want), (str(a), v)
+
+
+def test_elements_are_slotted_and_frozen():
+    e = L21.elem((1, 4))
+    assert not hasattr(e, "__dict__")
+    for name in ("value", "algebra", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, (0, 0))
+        with pytest.raises(FrozenInstanceError):
+            delattr(e, name)
+    assert e.value == (1, 4) and e.algebra is L21
+
+
+def test_equality_spans_equal_algebras():
+    twin = alg(ZZ, (2, 1))
+    assert twin is not L21 and twin == L21
+    x, y = L21.elem((1, 4)), twin.elem((1, 4))
+    assert x == y and hash(x) == hash(y) and not x != y
+    assert x.oplus(y) == y.oplus(x.oplus(L21.zero))
+    assert x != L21.elem((1, 3)) and x != alg(ZZ, (2, 2)).elem((1, 4))
+    assert x.__eq__((1, 4)) is NotImplemented and x != (1, 4)
+    assert len({x, y, L21._make((1, 4)), twin.elem((0, 0))}) == 2
+
+
+def test_pickle_and_copy_round_trips():
+    rng = random.Random(42)
+    for a in SAMPLED_CATALOG.values():
+        items = [a.spec, a.group, a] + [sample_elem(a, rng) for _ in range(20)]
+        for obj in items:
+            for back in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+                assert type(back) is type(obj) and back == obj and hash(back) == hash(obj)
+                assert str(back) == str(obj)
+        back = pickle.loads(pickle.dumps(a))
+        x, y = items[-2], items[-1]
+        assert back.elem(x.value).oplus(back.elem(y.value)) == x.oplus(y)
+        assert back.spec.ops.add(x.value, y.value) == a.ops.add(x.value, y.value)
+    # a pickle is outside input: unpickling checks the value again
+    forged = pickle.dumps(Z4._make(9))
+    with pytest.raises(IntervalError, match=r"^9 outside \[0, u\] in gamma\(Z,4\)$"):
+        pickle.loads(forged)

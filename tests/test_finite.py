@@ -352,6 +352,78 @@ def test_library_tables_pass_the_axiom_scan():
         assert finite.check_axioms(t).ok, (str(t), t.labels)
 
 
+def ref_find_hom(a, b, choices):
+    """finite._find_hom with its old pruning, which scans every pair of
+    assigned slots for a sum that lands on the new slot."""
+    f = [-1] * a.size
+    f[a.zero] = b.zero
+    f[a.one] = b.one
+    used = [False] * b.size
+    used[b.zero] = used[b.one] = True
+
+    def consistent(x):
+        nx = a.neg[x]
+        if f[nx] >= 0 and f[nx] != b.neg[f[x]]:
+            return False
+        for y in range(a.size):
+            if f[y] < 0:
+                continue
+            for u, v in ((x, y), (y, x)):
+                t = a.oplus[u][v]
+                if f[t] >= 0 and b.oplus[f[u]][f[v]] != f[t]:
+                    return False
+        for u in range(a.size):
+            if f[u] < 0:
+                continue
+            for v in range(a.size):
+                if f[v] >= 0 and a.oplus[u][v] == x and b.oplus[f[u]][f[v]] != f[x]:
+                    return False
+        return True
+
+    order = [x for x in range(a.size) if f[x] < 0]
+
+    def search(i):
+        if i == len(order):
+            return True
+        x = order[i]
+        for y in choices[x]:
+            if used[y]:
+                continue
+            f[x], used[y] = y, True
+            if consistent(x) and search(i + 1):
+                return True
+            f[x], used[y] = -1, False
+        return False
+
+    if consistent(a.zero) and consistent(a.one) and search(0):
+        return tuple(f)
+    return None
+
+
+def test_find_hom_matches_the_pair_scan():
+    """The preimage index prunes by the same predicate as the old scan,
+    so both searches return the same first map, or both None."""
+    rng = random.Random(12)
+    catalog = finite_catalog(12)
+    found = 0
+    for a in catalog:
+        for t in (a, relabel(a, rng), relabel(a, rng)):
+            for m in finite.enumerate_ideal_masks(t):
+                q, proj = quotient(t, m)
+                fibers = [[x for x in range(t.size) if proj[x] == k] for k in range(q.size)]
+                sec = finite._find_hom(q, t, fibers)
+                assert sec == ref_find_hom(q, t, fibers), (str(t), m)
+                found += sec is not None
+            for b in catalog:
+                if b.size == t.size:
+                    r = relabel(b, rng)
+                    anywhere = [list(range(r.size))] * t.size
+                    f = finite._find_hom(t, r, anywhere)
+                    assert f == ref_find_hom(t, r, anywhere), (str(t), str(r))
+                    found += f is not None
+    assert found > 100
+
+
 def test_hom_searches_return_homomorphisms():
     rng = random.Random(11)
     catalog = finite_catalog(12)

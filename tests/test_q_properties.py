@@ -78,6 +78,16 @@ def test_q_ops_match_operator_twins(pair):
             assert meet is (a if c < 0 else b) and join is (b if c < 0 else a), (a, b)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(q_pairs())
+def test_q_scale_matches_operator_twin(pair):
+    for k, a in (pair, pair[::-1]):
+        check(gr._q_mul(k, a), k * a, k, a)
+        # the scale hom applies it, with a factor k >= 0
+        k = abs(k)
+        check(gr.hom_apply(gr.scale_hom(gr.Q, k), a), k * a, k, a)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.integers(0, 2**32), st.sampled_from((0, 1, 3, 25, BIG)))
 def test_q_sample_matches_fraction_draw(seed, bound):
