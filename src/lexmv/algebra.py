@@ -48,14 +48,17 @@ class PmvAlgebra:
         # the cached ops record holds lambdas, so rebuild from the group
         return (PmvAlgebra, (self.group,))
 
+    def _check(self, value) -> None:
+        """Raise ShapeError or IntervalError unless value lies in [0, u]."""
+        gr.check_shape(self.spec, value)
+        ops = self.ops
+        if ops.cmp(value, ops.zero) < 0 or ops.cmp(value, self.unit) > 0:
+            raise IntervalError(f"{ops.fmt(value)} outside [0, u] in {self}")
+
     def elem(self, value) -> "PmvElem":
         """The element with this value, after checking its shape and its
         membership in [0, u]."""
-        ops = self.ops
-        if not ops.shape_ok(value):
-            raise gr.ShapeError(f"value {value!r} does not match spec {self.spec}")
-        if ops.cmp(value, ops.zero) < 0 or ops.cmp(value, self.unit) > 0:
-            raise IntervalError(f"{ops.fmt(value)} outside [0, u] in {self}")
+        self._check(value)
         return self._make(value)
 
     def _make(self, value) -> "PmvElem":
@@ -103,7 +106,7 @@ class PmvElem:
     value: object
 
     def __post_init__(self):
-        self.algebra.elem(self.value)
+        self.algebra._check(self.value)
 
     def __reduce__(self):
         # a pickle is outside input: unpickling re-validates the value

@@ -626,12 +626,6 @@ class UnitalGroup:
 
 _HOM_VALIDATION_SAMPLES = 500
 
-# The pairwise and compose presentations that passed _sampled_validation.
-# The check is a pure function of the presentation (a fixed seed, and
-# numeric comparisons only), so a presentation equal to one in this set
-# passes again.  Failures are not stored: they raise every time.
-_VALIDATED: set = set()
-
 
 @dataclass(frozen=True)
 class GroupHom:
@@ -646,8 +640,7 @@ class GroupHom:
     are also checked on 500 seeded samples and rejected with HomError if
     they fail to preserve +, negation, join or meet: a pairwise map with a
     non-injective head, such as pairwise(scale(Z, 0), identity(Z)), is no
-    l-homomorphism, and only the sampled check catches it.  The check
-    runs once per presentation per process (see _VALIDATED).
+    l-homomorphism, and only the sampled check catches it.
     """
 
     source: GroupSpec
@@ -657,9 +650,8 @@ class GroupHom:
 
     def __post_init__(self):
         self._check_presentation()
-        if self.kind in ("pairwise", "compose") and self not in _VALIDATED:
+        if self.kind in ("pairwise", "compose"):
             self._sampled_validation()
-            _VALIDATED.add(self)
 
     def _check_presentation(self):
         if self.kind == "identity":

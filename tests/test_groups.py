@@ -453,25 +453,6 @@ def test_failed_sampled_check_raises_on_every_construction():
         assert str(again.value) == str(first.value)
 
 
-def test_sampled_check_runs_once_per_presentation(monkeypatch):
-    monkeypatch.setattr(gr, "_VALIDATED", set())
-    runs = []
-    check = gr.GroupHom._sampled_validation
-    monkeypatch.setattr(gr.GroupHom, "_sampled_validation", lambda h: (runs.append(str(h)), check(h)))
-    # an int payload and an equal Fraction payload share one entry
-    for k in (3, Fraction(3), 3):
-        p = gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.scale_hom(gr.Q, k))
-    assert runs == ["pairwise(scale(2),scale(3))"] and gr._VALIDATED == {p}
-    for _ in range(2):
-        c = gr.hom_compose(p, gr.inject_right_hom(gr.Z, gr.Q))
-    assert runs[1:] == [str(c)] and len(gr._VALIDATED) == 2
-    for _ in range(2):
-        with pytest.raises(gr.HomError):
-            gr.pairwise_hom(gr.zero_hom(gr.Z, gr.Z), gr.scale_hom(gr.Z, 2))
-    assert len(runs) == 4 and len(gr._VALIDATED) == 2
-    assert gr.hom_apply(p, (1, Fraction(1, 2))) == (2, Fraction(3, 2))
-
-
 def test_scale_presentation_types():
     with pytest.raises(gr.HomError, match="scale on Q needs an integer or Fraction factor"):
         gr.scale_hom(gr.Q, 0.5)
