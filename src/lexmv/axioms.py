@@ -68,7 +68,7 @@ def partial_sum_report(
 ) -> Report:
     """PE1-PE4 on sampled triples where defined, the partial-sum/group-sum
     agreement, and the truncated-sum closed form n.x = (n*x) /\\ u."""
-    spec, ops, u = alg.spec, alg.ops, alg.unit
+    ops, u = alg.ops, alg.unit
     one, zero_e = alg.one, alg.zero
 
     def draw(rng):
@@ -106,6 +106,6 @@ def partial_sum_report(
          and ab.value != ops.add(a.value, b.value) and (a, b)),
         # closed form for truncated sums
         ("truncated-closed-form", lambda a, b, c, ab, n: iterate(a, n, "truncated").value
-         != ops.meet(gr.g_nmul(spec, a.value, n), u) and (a, n)),
+         != ops.meet(gr._nmul(ops.add, ops.zero, a.value, n), u) and (a, n)),
     ]
     return run_suite("partial-sum", samples, seed, draw, clauses, algebra=str(alg))

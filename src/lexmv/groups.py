@@ -527,11 +527,6 @@ def _compile(spec: GroupSpec) -> GroupOps:
 # Checked group operations
 
 
-def zero(spec: GroupSpec):
-    """Identity element of the group described by spec."""
-    return spec.ops.zero
-
-
 def check_shape(spec: GroupSpec, v) -> None:
     if not spec.ops.shape_ok(v):
         raise ShapeError(f"value {v!r} does not match spec {spec}")
@@ -543,16 +538,6 @@ def g_add(spec: GroupSpec, a, b):
     return spec.ops.add(a, b)
 
 
-def g_neg(spec: GroupSpec, a):
-    check_shape(spec, a)
-    return spec.ops.neg(a)
-
-
-def g_sub(spec: GroupSpec, a, b):
-    """a - b, i.e. a + (-b)."""
-    return g_add(spec, a, g_neg(spec, b))
-
-
 def g_cmp(spec: GroupSpec, a, b) -> int:
     """-1, 0 or 1 (see GroupOps)."""
     check_shape(spec, a)
@@ -560,38 +545,10 @@ def g_cmp(spec: GroupSpec, a, b) -> int:
     return spec.ops.cmp(a, b)
 
 
-def g_le(spec: GroupSpec, a, b) -> bool:
-    return g_cmp(spec, a, b) <= 0
-
-
-def g_join(spec: GroupSpec, a, b):
-    check_shape(spec, a)
-    check_shape(spec, b)
-    return spec.ops.join(a, b)
-
-
 def g_meet(spec: GroupSpec, a, b):
     check_shape(spec, a)
     check_shape(spec, b)
     return spec.ops.meet(a, b)
-
-
-def g_nmul(spec: GroupSpec, a, n: int):
-    """The n-fold sum a + ... + a, n >= 0 (uses only associativity)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    check_shape(spec, a)
-    return _nmul(spec.ops.add, spec.ops.zero, a, n)
-
-
-def center_contains(spec: GroupSpec, a) -> bool:
-    """Exact membership in the commutative center (GroupOps.central)."""
-    check_shape(spec, a)
-    return spec.ops.central(a)
-
-
-def fmt_elem(spec: GroupSpec, v) -> str:
-    return spec.ops.fmt(v)
 
 
 def sample_group_elem(spec: GroupSpec, rng: random.Random, bound: int = 25):
@@ -635,12 +592,12 @@ class GroupHom:
     or Fraction on Q), "pairwise" (payload (h1, h2), on lex pairs),
     "inject_right" (g |-> (0, g) into a lex pair), "compose" (payload (h2, h1)).
 
-    The presentation is checked at construction, and then the four atomic
-    kinds are l-homomorphisms by construction.  "pairwise" and "compose"
-    are also checked on 500 seeded samples and rejected with HomError if
-    they fail to preserve +, negation, join or meet: a pairwise map with a
-    non-injective head, such as pairwise(scale(Z, 0), identity(Z)), is no
-    l-homomorphism, and only the sampled check catches it.
+    The presentation is checked at construction; then the atomic kinds,
+    and compositions of checked homs, are l-homomorphisms.  "pairwise" is
+    also checked on 500 seeded samples and rejected with HomError if it
+    fails to preserve +, negation, join or meet: pairwise(scale(Z, 0),
+    identity(Z)) has a non-injective head and is no l-homomorphism.  A
+    pickle loads through the constructor, so it is checked again.
     """
 
     source: GroupSpec
@@ -650,8 +607,11 @@ class GroupHom:
 
     def __post_init__(self):
         self._check_presentation()
-        if self.kind in ("pairwise", "compose"):
+        if self.kind == "pairwise":
             self._sampled_validation()
+
+    def __reduce__(self):
+        return (GroupHom, (self.source, self.target, self.kind, self.payload))
 
     def _check_presentation(self):
         if self.kind == "identity":
@@ -692,14 +652,14 @@ class GroupHom:
         if self.kind == "identity":
             return a
         if self.kind == "zero":
-            return zero(self.target)
+            return self.target.ops.zero
         if self.kind == "scale":
             return _q_mul(self.payload[0], a)
         if self.kind == "pairwise":
             h1, h2 = self.payload
             return (h1._raw_apply(a[0]), h2._raw_apply(a[1]))
         if self.kind == "inject_right":
-            return (zero(self.target.left), a)
+            return (self.target.left.ops.zero, a)
         h2, h1 = self.payload
         return h2._raw_apply(h1._raw_apply(a))
 
@@ -781,6 +741,6 @@ def hom_equal(h1: GroupHom, h2: GroupHom, samples: int = 500, seed: int = 0) -> 
     rng = random.Random(seed)
     for _ in range(samples):
         a = sample_group_elem(h1.source, rng)
-        if hom_apply(h1, a) != hom_apply(h2, a):
+        if h1._raw_apply(a) != h2._raw_apply(a):
             return False
     return True

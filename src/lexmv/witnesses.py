@@ -512,13 +512,6 @@ def state_report(
     return run_suite("state", sample_budget, seed, draw, clauses, once)
 
 
-def base_maximality(w: PerfectWitness) -> bool:
-    """Whether M_0 is maximal: exactly when the base is (isomorphic to) a
-    unital subgroup of the reals, that is Archimedean.  The trivial base
-    gives the one-element quotient, counted as maximal."""
-    return w.lexalg.base.spec.ops.archimedean
-
-
 # ---------------------------------------------------------------------------
 # Closed-form midpoint certificate
 
@@ -560,7 +553,7 @@ def lift_morphism(h: GroupHom, base: UnitalGroup) -> Mapping:
 
     def fn(x: PmvElem) -> PmvElem:
         t, g = x.value
-        return target.elem((t, gr.hom_apply(h, g)))
+        return target.elem((t, h._raw_apply(g)))
 
     return Mapping(source, target, fn, description=f"lift({h})")
 
@@ -625,7 +618,7 @@ def _infer_hom(src: GroupSpec, tgt: GroupSpec, fn, samples: int, seed: int):
     rng = random.Random(seed)
     probes = [gr.sample_group_elem(src, rng) for _ in range(samples)]
     for cand in candidates:
-        if all(fn(p) == gr.hom_apply(cand, p) for p in probes):
+        if all(fn(p) == cand._raw_apply(p) for p in probes):
             return cand
     return None
 

@@ -1,7 +1,9 @@
+import ast
 import copy
 import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -27,11 +29,11 @@ def test_aff_composition_noncommutative():
 
 
 def test_neg():
-    assert gr.g_neg(gr.Z, 7) == -7
-    assert gr.g_neg(gr.AFF, gr.Aff(2, 4)) == gr.Aff(Fraction(1, 2), -2)
-    assert gr.g_add(gr.AFF, gr.Aff(2, 4), gr.g_neg(gr.AFF, gr.Aff(2, 4))) == gr.AFF_ID
+    assert gr.Z.ops.neg(7) == -7
+    assert gr.AFF.ops.neg(gr.Aff(2, 4)) == gr.Aff(Fraction(1, 2), -2)
+    assert gr.g_add(gr.AFF, gr.Aff(2, 4), gr.AFF.ops.neg(gr.Aff(2, 4))) == gr.AFF_ID
     zq = gr.lex(gr.Z, gr.Q)
-    assert gr.g_neg(zq, (1, Fraction(3, 2))) == (-1, Fraction(-3, 2))
+    assert zq.ops.neg((1, Fraction(3, 2))) == (-1, Fraction(-3, 2))
 
 
 def test_cmp_lex():
@@ -42,7 +44,7 @@ def test_cmp_lex():
 
 
 def test_lattice():
-    assert gr.g_join(gr.Z, 3, -1) == 3
+    assert gr.Z.ops.join(3, -1) == 3
     assert gr.g_meet(ZZ, (1, 5), (1, 2)) == (1, 2)
     assert gr.g_meet(ZZ, (0, 9), (1, -9)) == (0, 9)
 
@@ -50,24 +52,26 @@ def test_lattice():
 def test_join_meet_are_bounds():
     rng = random.Random(5)
     for spec in (gr.Z, gr.Q, gr.AFF, ZZ, gr.lex(gr.Q, gr.AFF)):
+        ops = spec.ops
+        le = lambda a, b: ops.cmp(a, b) <= 0
         for _ in range(100):
             a = gr.sample_group_elem(spec, rng)
             b = gr.sample_group_elem(spec, rng)
-            j = gr.g_join(spec, a, b)
+            j = ops.join(a, b)
             m = gr.g_meet(spec, a, b)
-            assert gr.g_le(spec, a, j) and gr.g_le(spec, b, j)
-            assert gr.g_le(spec, m, a) and gr.g_le(spec, m, b)
+            assert le(a, j) and le(b, j)
+            assert le(m, a) and le(m, b)
             c = gr.sample_group_elem(spec, rng)
-            if gr.g_le(spec, a, c) and gr.g_le(spec, b, c):
-                assert gr.g_le(spec, j, c)
-            if gr.g_le(spec, c, a) and gr.g_le(spec, c, b):
-                assert gr.g_le(spec, c, m)
+            if le(a, c) and le(b, c):
+                assert le(j, c)
+            if le(c, a) and le(c, b):
+                assert le(c, m)
 
 
 def test_group_laws_sampled():
     rng = random.Random(11)
     for spec in (gr.Z, gr.Q, gr.AFF, ZZ, gr.lex(gr.Z, gr.AFF)):
-        z = gr.zero(spec)
+        z = spec.ops.zero
         for _ in range(200):
             a = gr.sample_group_elem(spec, rng)
             b = gr.sample_group_elem(spec, rng)
@@ -76,7 +80,7 @@ def test_group_laws_sampled():
                 spec, a, gr.g_add(spec, b, c)
             )
             assert gr.g_add(spec, a, z) == a and gr.g_add(spec, z, a) == a
-            assert gr.g_add(spec, a, gr.g_neg(spec, a)) == z
+            assert gr.g_add(spec, a, spec.ops.neg(a)) == z
 
 
 def test_order_bi_invariance():
@@ -87,11 +91,11 @@ def test_order_bi_invariance():
             b = gr.sample_group_elem(spec, rng)
             x = gr.sample_group_elem(spec, rng)
             y = gr.sample_group_elem(spec, rng)
-            if not gr.g_le(spec, a, b):
+            if gr.g_cmp(spec, a, b) > 0:
                 a, b = b, a
             lhs = gr.g_add(spec, gr.g_add(spec, x, a), y)
             rhs = gr.g_add(spec, gr.g_add(spec, x, b), y)
-            assert gr.g_le(spec, lhs, rhs)
+            assert gr.g_cmp(spec, lhs, rhs) <= 0
 
 
 def test_aff_conjugation_preserves_strict_order():
@@ -104,15 +108,15 @@ def test_aff_conjugation_preserves_strict_order():
             continue
         if gr.g_cmp(gr.AFF, f, g) > 0:
             f, g = g, f
-        cf = gr.g_add(gr.AFF, gr.g_add(gr.AFF, h, f), gr.g_neg(gr.AFF, h))
-        cg = gr.g_add(gr.AFF, gr.g_add(gr.AFF, h, g), gr.g_neg(gr.AFF, h))
+        cf = gr.g_add(gr.AFF, gr.g_add(gr.AFF, h, f), gr.AFF.ops.neg(h))
+        cg = gr.g_add(gr.AFF, gr.g_add(gr.AFF, h, g), gr.AFF.ops.neg(h))
         assert gr.g_cmp(gr.AFF, cf, cg) < 0
 
 
 def test_center():
-    assert gr.center_contains(gr.Q, Fraction(7, 3))
-    assert not gr.center_contains(gr.AFF, gr.Aff(2, 0))
-    assert gr.center_contains(gr.lex(gr.Z, gr.AFF), (5, gr.AFF_ID))
+    assert gr.Q.ops.central(Fraction(7, 3))
+    assert not gr.AFF.ops.central(gr.Aff(2, 0))
+    assert gr.lex(gr.Z, gr.AFF).ops.central((5, gr.AFF_ID))
 
 
 def test_center_soundness_sampled():
@@ -120,7 +124,7 @@ def test_center_soundness_sampled():
     spec = gr.lex(gr.Z, gr.AFF)
     for _ in range(200):
         a = gr.sample_group_elem(spec, rng)
-        if gr.center_contains(spec, a):
+        if spec.ops.central(a):
             for _ in range(20):
                 b = gr.sample_group_elem(spec, rng)
                 assert gr.g_add(spec, a, b) == gr.g_add(spec, b, a)
@@ -155,8 +159,8 @@ def test_strong_units():
 
 
 def test_nmul():
-    assert gr.g_nmul(gr.Z, 3, 4) == 12
-    assert gr.g_nmul(gr.AFF, gr.Aff(2, 1), 3) == gr.g_add(
+    assert gr._nmul(gr.Z.ops.add, gr.Z.ops.zero, 3, 4) == 12
+    assert gr._nmul(gr.AFF.ops.add, gr.AFF_ID, gr.Aff(2, 1), 3) == gr.g_add(
         gr.AFF, gr.Aff(2, 1), gr.g_add(gr.AFF, gr.Aff(2, 1), gr.Aff(2, 1))
     )
 
@@ -188,8 +192,8 @@ def test_hom_equal():
 
 
 def test_fmt_elem():
-    assert gr.fmt_elem(ZZ, (1, -2)) == "(1,-2)"
-    assert gr.fmt_elem(gr.AFF, gr.Aff(Fraction(1, 2), 3)) == "aff(1/2,3)"
+    assert ZZ.ops.fmt((1, -2)) == "(1,-2)"
+    assert gr.AFF.ops.fmt(gr.Aff(Fraction(1, 2), 3)) == "aff(1/2,3)"
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def test_compiled_ops_match_reference_twins():
     rng = random.Random(41)
     for spec in TWIN_SPECS:
         ops = spec.ops
-        assert repr(ops.zero) == repr(ref_zero(spec)) == repr(gr.zero(spec))
+        assert repr(ops.zero) == repr(ref_zero(spec))
         for _ in range(150):
             if rng.random() < 0.5:
                 a, b = tie_prone_elem(spec, rng), tie_prone_elem(spec, rng)
@@ -330,7 +334,6 @@ def test_compiled_ops_match_reference_twins():
             assert repr(ops.meet(a, b)) == repr(ref_lattice(spec, a, b, "meet")), (spec, a, b)
             assert repr(ops.join(a, b)) == repr(ref_lattice(spec, a, b, "join")), (spec, a, b)
             assert repr(gr.g_meet(spec, a, b)) == repr(ops.meet(a, b))
-            assert repr(gr.g_join(spec, a, b)) == repr(ops.join(a, b))
 
 
 def aff_leaves(v):
@@ -364,7 +367,7 @@ def test_aff_values_are_canonical():
         for _ in range(60):
             a, b = twin_pool(spec, rng, 2)
             for v in (a, b, ops.add(a, b), ops.neg(a), ops.meet(a, b), ops.join(a, b),
-                      ops.add(a, ops.neg(a)), ops.add(ops.neg(b), b), gr.g_nmul(spec, a, 5)):
+                      ops.add(a, ops.neg(a)), ops.add(ops.neg(b), b), gr._nmul(ops.add, ops.zero, a, 5)):
                 affs.extend(aff_leaves(v))
     for f in affs:
         assert_canonical(f)
@@ -451,6 +454,82 @@ def test_failed_sampled_check_raises_on_every_construction():
         with pytest.raises(gr.HomError) as again:
             gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
         assert str(again.value) == str(first.value)
+
+
+def test_compose_skips_the_sampled_check(monkeypatch):
+    """A composition of checked l-homomorphisms is one, so only its
+    presentation is checked."""
+    with pytest.raises(gr.HomError):
+        gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
+    p = gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.identity_hom(gr.Z))
+
+    def refuse(self):
+        raise AssertionError(f"sampled check ran on {self}")
+
+    monkeypatch.setattr(gr.GroupHom, "_sampled_validation", refuse)
+    comp = gr.hom_compose(p, gr.inject_right_hom(gr.Z, gr.Z))
+    assert gr.hom_apply(comp, 5) == (0, 5)
+    with pytest.raises(gr.HomError, match="composition shape mismatch"):
+        gr.GroupHom(gr.Q, ZZ, "compose", (p, gr.identity_hom(gr.Q)))
+
+
+def test_homs_round_trip_through_pickle_and_copy():
+    p = gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.identity_hom(gr.Q))
+    comp = gr.hom_compose(p, gr.inject_right_hom(gr.Z, gr.Q))
+    for h in catalog_atomic_homs() + [p, comp]:
+        assert pickle.loads(pickle.dumps(h)) == h, h
+        assert copy.deepcopy(h) == h, h
+
+
+def test_forged_hom_pickle_is_checked_on_load():
+    """A pickle is outside input: loading it runs the constructor's checks."""
+    forged = object.__new__(gr.GroupHom)
+    fields = dict(source=ZZ, target=ZZ, kind="pairwise",
+                  payload=(gr.zero_hom(gr.Z, gr.Z), gr.identity_hom(gr.Z)))
+    for name, value in fields.items():
+        object.__setattr__(forged, name, value)
+    data = pickle.dumps(forged)
+    with pytest.raises(gr.HomError, match="fails join"):
+        pickle.loads(data)
+    with pytest.raises(gr.HomError, match="fails join"):
+        copy.deepcopy(forged)
+
+
+def test_hom_apply_checks_its_argument():
+    with pytest.raises(gr.ShapeError):
+        gr.hom_apply(gr.scale_hom(gr.Z, 2), Fraction(1, 2))
+    with pytest.raises(gr.ShapeError):
+        gr.hom_apply(gr.pairwise_hom(gr.identity_hom(gr.Z), gr.scale_hom(gr.Z, 2)), 3)
+
+
+def test_library_modules_compute_with_the_ops_record():
+    """Outside groups.py the library computes with spec.ops, so no module
+    calls the checked g_add/g_cmp/g_meet or hom_apply, and none defines a
+    retired checked wrapper again at module level."""
+    checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
+    retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
+               "fmt_elem", "base_maximality"}
+    modules = sorted(Path(gr.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name != "groups.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    assert name not in checked, f"{path.name}:{node.lineno} calls {name}"
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.asname or a.name for a in node.names}
+            else:
+                continue
+            assert not names & retired, f"{path.name}:{node.lineno} defines {names & retired}"
 
 
 def test_scale_presentation_types():
@@ -614,8 +693,8 @@ def test_record_rules_match_reference_twins():
         ops = spec.ops
         assert (ops.abelian, ops.linear, ops.archimedean, ops.trivial) == ref_facts(spec), spec
         for v in twin_pool(spec, rng, 60):
-            assert ops.fmt(v) == ref_fmt_elem(spec, v) == gr.fmt_elem(spec, v), (spec, v)
-            assert ops.central(v) == ref_center_contains(spec, v) == gr.center_contains(spec, v)
+            assert ops.fmt(v) == ref_fmt_elem(spec, v), (spec, v)
+            assert ops.central(v) == ref_center_contains(spec, v), (spec, v)
             assert unit_outcome(ops.check_unit, v) == unit_outcome(
                 lambda u: ref_validate_strong_unit(spec, u), v), (spec, v)
 

@@ -16,7 +16,6 @@ from lexmv.witnesses import (
     build_phi,
     canonical_lex_ideal,
     canonical_witness,
-    base_maximality,
     check_cyclic,
     check_decomposition,
     classify,
@@ -228,12 +227,14 @@ def test_state_vanishes_on_ideal():
 
 
 def test_base_maximality():
-    assert base_maximality(canonical_witness(L10, "strong"))
-    assert base_maximality(canonical_witness(la(gr.Q, Fraction(1), gr.Z, 0), "strong"))
-    assert not base_maximality(canonical_witness(la(ZZ, (1, 0), gr.Z, 0), "strong"))
+    """M_0 is maximal exactly when the base is Archimedean."""
+    maximal = lambda lexalg: canonical_witness(lexalg, "strong").lexalg.base.spec.ops.archimedean
+    assert maximal(L10)
+    assert maximal(la(gr.Q, Fraction(1), gr.Z, 0))
+    assert not maximal(la(ZZ, (1, 0), gr.Z, 0))
     # a trivial factor leaves a base isomorphic to Z, so M_0 is maximal
-    assert base_maximality(canonical_witness(la(gr.lex(gr.O, gr.Z), (0, 2), gr.Z, 0), "strong"))
-    assert base_maximality(canonical_witness(la(gr.lex(gr.Z, gr.O), (1, 0), gr.Z, 0), "strong"))
+    assert maximal(la(gr.lex(gr.O, gr.Z), (0, 2), gr.Z, 0))
+    assert maximal(la(gr.lex(gr.Z, gr.O), (1, 0), gr.Z, 0))
 
 
 def test_state_on_base_with_trivial_head():
