@@ -367,7 +367,8 @@ def test_aff_values_are_canonical():
         for _ in range(60):
             a, b = twin_pool(spec, rng, 2)
             for v in (a, b, ops.add(a, b), ops.neg(a), ops.meet(a, b), ops.join(a, b),
-                      ops.add(a, ops.neg(a)), ops.add(ops.neg(b), b), gr._nmul(ops.add, ops.zero, a, 5)):
+                      ops.add(a, ops.neg(a)), ops.add(ops.neg(b), b),
+                      gr._nmul(ops.add, ops.zero, a, 5)):
                 affs.extend(aff_leaves(v))
     for f in affs:
         assert_canonical(f)
