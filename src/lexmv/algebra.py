@@ -9,12 +9,17 @@ plus the partial sum x + y, defined exactly when the group sum stays in
 the interval, where it agrees with the group sum.  Partiality is
 structure, not an error: the partial operations return None for
 "undefined" and callers branch on it.
+
+These are fixed formulas over the group with u as a constant, so each
+algebra compiles them once (``_compile``) into value kernels that return
+finished elements, beside the check of values that enter from outside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 from . import groups as gr
 from .groups import GroupSpec, UnitalGroup
@@ -36,7 +41,7 @@ class PmvAlgebra:
     def spec(self) -> GroupSpec:
         return self.group.spec
 
-    @property
+    @cached_property
     def unit(self):
         return self.group.unit
 
@@ -45,29 +50,18 @@ class PmvAlgebra:
         return self.group.spec.ops
 
     def __reduce__(self):
-        # the cached ops record holds lambdas, so rebuild from the group
+        # the cached ops and kernels hold closures, so rebuild from the group
         return (PmvAlgebra, (self.group,))
 
-    def _check(self, value) -> None:
-        """Raise ShapeError or IntervalError unless value lies in [0, u]."""
-        gr.check_shape(self.spec, value)
-        ops = self.ops
-        if ops.cmp(value, ops.zero) < 0 or ops.cmp(value, self.unit) > 0:
-            raise IntervalError(f"{ops.fmt(value)} outside [0, u] in {self}")
+    @cached_property
+    def _kernels(self) -> SimpleNamespace:
+        return _compile(self)
 
     def elem(self, value) -> "PmvElem":
         """The element with this value, after checking its shape and its
         membership in [0, u]."""
-        self._check(value)
-        return self._make(value)
-
-    def _make(self, value) -> "PmvElem":
-        """The element with this value, unchecked: for values computed by
-        the operations of this algebra, which stay in [0, u]."""
-        e = _new(PmvElem)
-        _set_algebra(e, self)
-        _set_value(e, value)
-        return e
+        self._kernels.check(value)
+        return self._kernels.make(value)
 
     @cached_property
     def zero(self) -> "PmvElem":
@@ -94,9 +88,9 @@ class PmvElem:
     shape against the group spec and its membership in [0, u], raising
     ShapeError or IntervalError.  Gamma(G, u) is closed under the
     operations below (Dvurecenskij, "Pseudo MV-algebras are intervals in
-    l-groups", J. Austral. Math. Soc. 72, 2002), so they compute with the
-    spec's compiled, unchecked ops (``alg.ops``) and build their results
-    with ``alg._make``, which does not re-validate them.
+    l-groups", J. Austral. Math. Soc. 72, 2002), so each one is a call of
+    the algebra's compiled kernel (``alg._kernels``), which computes on
+    the unchecked values and builds the result without re-validating it.
     """
 
     # declared here, not by slots=True, which rebuilds the class and
@@ -106,7 +100,7 @@ class PmvElem:
     value: object
 
     def __post_init__(self):
-        self.algebra._check(self.value)
+        self.algebra._kernels.check(self.value)
 
     def __reduce__(self):
         # a pickle is outside input: unpickling re-validates the value
@@ -119,7 +113,8 @@ class PmvElem:
     # -- order -------------------------------------------------------------
 
     def cmp(self, other: "PmvElem") -> int:
-        self._same(other)
+        if other.algebra is not self.algebra:
+            self._same(other)
         return self.algebra.ops.cmp(self.value, other.value)
 
     def le(self, other: "PmvElem") -> bool:
@@ -131,44 +126,35 @@ class PmvElem:
     # -- total operations ---------------------------------------------------
 
     def oplus(self, other: "PmvElem") -> "PmvElem":
-        self._same(other)
-        alg = self.algebra
-        ops = alg.ops
-        return alg._make(ops.meet(ops.add(self.value, other.value), alg.unit))
+        if other.algebra is not self.algebra:
+            self._same(other)
+        return self.algebra._kernels.oplus(self.value, other.value)
 
     def odot(self, other: "PmvElem") -> "PmvElem":
-        self._same(other)
-        alg = self.algebra
-        ops = alg.ops
-        s = ops.add(ops.add(self.value, ops.neg(alg.unit)), other.value)
-        return alg._make(ops.join(s, ops.zero))
+        if other.algebra is not self.algebra:
+            self._same(other)
+        return self.algebra._kernels.odot(self.value, other.value)
 
     @property
     def minus(self) -> "PmvElem":
-        # u - x
-        alg = self.algebra
-        ops = alg.ops
-        return alg._make(ops.add(alg.unit, ops.neg(self.value)))
+        return self.algebra._kernels.minus(self.value)
 
     @property
     def tilde(self) -> "PmvElem":
-        # -x + u
-        alg = self.algebra
-        ops = alg.ops
-        return alg._make(ops.add(ops.neg(self.value), alg.unit))
+        return self.algebra._kernels.tilde(self.value)
 
     def negations(self) -> tuple["PmvElem", "PmvElem"]:
         return (self.minus, self.tilde)
 
     def join(self, other: "PmvElem") -> "PmvElem":
-        self._same(other)
-        alg = self.algebra
-        return alg._make(alg.ops.join(self.value, other.value))
+        if other.algebra is not self.algebra:
+            self._same(other)
+        return self.algebra._kernels.join(self.value, other.value)
 
     def meet(self, other: "PmvElem") -> "PmvElem":
-        self._same(other)
-        alg = self.algebra
-        return alg._make(alg.ops.meet(self.value, other.value))
+        if other.algebra is not self.algebra:
+            self._same(other)
+        return self.algebra._kernels.meet(self.value, other.value)
 
     # -- partial structure --------------------------------------------------
 
@@ -180,13 +166,9 @@ class PmvElem:
         agree exactly in symmetric algebras, and only the group-sum one
         satisfies the partial-sum laws PE1-PE4 in general.)
         """
-        self._same(other)
-        alg = self.algebra
-        ops = alg.ops
-        s = ops.add(self.value, other.value)
-        if ops.cmp(s, alg.unit) > 0:
-            return None
-        return alg._make(s)
+        if other.algebra is not self.algebra:
+            self._same(other)
+        return self.algebra._kernels.partial_add(self.value, other.value)
 
     def __str__(self) -> str:
         return self.algebra.ops.fmt(self.value)
@@ -198,6 +180,42 @@ _set_algebra = PmvElem.algebra.__set__
 _set_value = PmvElem.value.__set__
 
 
+def _compile(alg: PmvAlgebra) -> SimpleNamespace:
+    """The algebra's kernels (``alg._kernels``), compiled once with u and
+    -u bound in.  check(value) is the boundary check: check_shape, then
+    membership in [0, u].  make(value) builds an element unchecked.  The
+    operations take values of [0, u] unchecked and return the finished
+    element (partial_add: or None)."""
+    ops, spec, u = alg.ops, alg.spec, alg.unit
+    add, neg, cmp, meet, join, zero = ops.add, ops.neg, ops.cmp, ops.meet, ops.join, ops.zero
+    neg_u = neg(u)
+
+    def check(value) -> None:
+        gr.check_shape(spec, value)
+        if cmp(value, zero) < 0 or cmp(value, u) > 0:
+            raise IntervalError(f"{ops.fmt(value)} outside [0, u] in {alg}")
+
+    def make(v):
+        e = _new(PmvElem)
+        _set_algebra(e, alg)
+        _set_value(e, v)
+        return e
+
+    def partial_add(a, b):
+        s = add(a, b)
+        return None if cmp(s, u) > 0 else make(s)
+
+    return SimpleNamespace(
+        check=check, make=make, partial_add=partial_add,
+        oplus=lambda a, b: make(meet(add(a, b), u)),
+        odot=lambda a, b: make(join(add(add(a, neg_u), b), zero)),
+        minus=lambda a: make(add(u, neg(a))),  # u - x
+        tilde=lambda a: make(add(neg(a), u)),  # -x + u
+        join=lambda a, b: make(join(a, b)),
+        meet=lambda a, b: make(meet(a, b)),
+    )
+
+
 def residuals(x: PmvElem, y: PmvElem) -> tuple[PmvElem, PmvElem]:
     """For y <= x: (x - y, -y + x), the left and right differences.
 
@@ -206,10 +224,9 @@ def residuals(x: PmvElem, y: PmvElem) -> tuple[PmvElem, PmvElem]:
     x._same(y)
     if not y.le(x):
         raise ValueError(f"residuals need y <= x, got y={y}, x={x}")
-    alg = x.algebra
-    ops = alg.ops
+    ops, make = x.algebra.ops, x.algebra._kernels.make
     neg_y = ops.neg(y.value)
-    return (alg._make(ops.add(x.value, neg_y)), alg._make(ops.add(neg_y, x.value)))
+    return (make(ops.add(x.value, neg_y)), make(ops.add(neg_y, x.value)))
 
 
 def oplus_via_pea(x: PmvElem, y: PmvElem) -> PmvElem:

@@ -22,7 +22,7 @@ def clamp(alg: PmvAlgebra, value) -> PmvElem:
     in [0, u] for every such value, so it is built without elem()'s check.
     """
     ops = alg.ops
-    return alg._make(ops.meet(ops.join(value, ops.zero), alg.unit))
+    return alg._kernels.make(ops.meet(ops.join(value, ops.zero), alg.unit))
 
 
 def sample_elem(alg: PmvAlgebra, rng: random.Random, bound: int = DEFAULT_BOUND) -> PmvElem:
@@ -42,7 +42,7 @@ def sample_elem(alg: PmvAlgebra, rng: random.Random, bound: int = DEFAULT_BOUND)
     if spec.kind == "Z":
         # uniform over the interval: clamping a wide range would pile the
         # mass on the endpoints of short chains
-        return alg._make(rng.randint(0, min(alg.unit, bound)))
+        return alg._kernels.make(rng.randint(0, min(alg.unit, bound)))
     return clamp(alg, alg.ops.sample(rng, bound))
 
 

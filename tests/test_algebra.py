@@ -315,7 +315,7 @@ def test_equality_spans_equal_algebras():
     assert x.oplus(y) == y.oplus(x.oplus(L21.zero))
     assert x != L21.elem((1, 3)) and x != alg(ZZ, (2, 2)).elem((1, 4))
     assert x.__eq__((1, 4)) is NotImplemented and x != (1, 4)
-    assert len({x, y, L21._make((1, 4)), twin.elem((0, 0))}) == 2
+    assert len({x, y, L21._kernels.make((1, 4)), twin.elem((0, 0))}) == 2
 
 
 def test_pickle_and_copy_round_trips():
@@ -331,6 +331,51 @@ def test_pickle_and_copy_round_trips():
         assert back.elem(x.value).oplus(back.elem(y.value)) == x.oplus(y)
         assert back.spec.ops.add(x.value, y.value) == a.ops.add(x.value, y.value)
     # a pickle is outside input: unpickling checks the value again
-    forged = pickle.dumps(Z4._make(9))
+    forged = pickle.dumps(Z4._kernels.make(9))
     with pytest.raises(IntervalError, match=r"^9 outside \[0, u\] in gamma\(Z,4\)$"):
         pickle.loads(forged)
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernels against the interval formulas
+
+
+def test_kernels_match_the_interval_formulas():
+    """Each algebra compiles its operations once, with u and -u bound in.
+    Every kernel, called directly and through its element method, equals
+    the formula on alg.ops and alg.group.unit, and returns an element of
+    alg itself; a distinct but equal algebra still mixes with it, and a
+    different algebra is refused."""
+    cases = list(SAMPLED_CATALOG.values()) + [alg(gr.O, 0)]
+    for a in cases:
+        ops, u, k = a.ops, a.group.unit, a._kernels
+        twin, other = alg(a.spec, u), alg(gr.Z, 3)
+        rng = random.Random(53)
+        for _ in range(150):
+            x, y = sample_elem(a, rng), sample_elem(a, rng)
+            xv, yv = x.value, y.value
+            s = ops.add(xv, yv)
+            want = {
+                "oplus": ops.meet(s, u),
+                "odot": ops.join(ops.add(ops.add(xv, ops.neg(u)), yv), ops.zero),
+                "join": ops.join(xv, yv),
+                "meet": ops.meet(xv, yv),
+                "partial_add": s if ops.cmp(s, u) <= 0 else None,
+            }
+            for name, value in want.items():
+                for got in (getattr(k, name)(xv, yv), getattr(x, name)(y),
+                            getattr(x, name)(twin.elem(yv))):
+                    if value is None:
+                        assert got is None, (str(a), name, xv, yv)
+                        continue
+                    assert got.algebra is a and got.value == value, (str(a), name, xv, yv)
+                    assert type(got.value) is type(value), (str(a), name, xv, yv)
+                with pytest.raises(CrossAlgebraError):
+                    getattr(x, name)(other.one)
+            assert x.cmp(twin.elem(yv)) == ops.cmp(xv, yv)
+            for name, value in (("minus", ops.add(u, ops.neg(xv))), ("tilde", ops.add(ops.neg(xv), u))):
+                for got in (getattr(k, name)(xv), getattr(x, name)):
+                    assert got.algebra is a and got.value == value, (str(a), name, xv)
+            assert k.make(xv).value is xv and k.make(xv).algebra is a
+        with pytest.raises(CrossAlgebraError):
+            a.one.cmp(other.one)

@@ -496,6 +496,77 @@ def test_forged_hom_pickle_is_checked_on_load():
         copy.deepcopy(forged)
 
 
+def test_malformed_payload_is_a_hom_error():
+    """The payload's form is checked before anything reads it, so a
+    malformed presentation is a HomError, not an AttributeError or a
+    ValueError from unpacking, and an identity takes no payload."""
+    bad = [("compose", (1, 2)), ("scale", ()), ("scale", (1, 2)), ("identity", (5,)),
+           ("pairwise", (gr.identity_hom(gr.Z),)), ("zero", [])]
+    for kind, payload in bad:
+        with pytest.raises(gr.HomError, match="payload|components"):
+            gr.GroupHom(gr.Z, gr.Z, kind, payload)
+        forged = object.__new__(gr.GroupHom)
+        for name, value in dict(source=gr.Z, target=gr.Z, kind=kind, payload=payload).items():
+            object.__setattr__(forged, name, value)
+        with pytest.raises(gr.HomError, match="payload|components"):
+            pickle.loads(pickle.dumps(forged))
+    with pytest.raises(gr.HomError, match="unknown hom kind"):
+        gr.GroupHom(gr.Z, gr.Z, "shift", ())
+
+
+def nested_homs():
+    """Pairwise and composed homs, proven and unproven by the facts."""
+    ZQ = gr.lex(gr.Z, gr.Q)
+    inj = gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.identity_hom(gr.Q))
+    null = gr.pairwise_hom(gr.zero_hom(gr.Z, gr.Z), gr.scale_hom(gr.Q, 0))
+    head_only = gr.pairwise_hom(gr.scale_hom(gr.Z, 3), gr.zero_hom(gr.Q, gr.Q))
+    return [
+        inj, null, head_only,
+        gr.hom_compose(inj, gr.inject_right_hom(gr.Z, gr.Q)),
+        gr.hom_compose(null, gr.inject_right_hom(gr.Z, gr.Q)),
+        gr.hom_compose(gr.zero_hom(ZQ, gr.Z), inj),
+        gr.hom_compose(head_only, inj),
+        gr.pairwise_hom(gr.identity_hom(gr.Z), head_only),
+        gr.pairwise_hom(gr.zero_hom(gr.O, gr.Z), inj),
+    ]
+
+
+def test_pairwise_proof_matches_the_sampled_check():
+    """Over a linear head, pairwise(h1, h2) is an l-homomorphism iff h1
+    is injective or h2 is zero.  Wherever _injective or _null proves it,
+    the sampled check it skips must pass.  On pairs of atomic homs the
+    facts decide every pair, so every other such pair fails the check at
+    construction."""
+    atomic, nested = catalog_atomic_homs(), nested_homs()
+    pool = atomic + nested
+    rng = random.Random(47)
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+    pairs += [(gr.zero_hom(gr.Z, gr.Z), h) for h in nested] + [(h, gr.identity_hom(gr.Z)) for h in nested]
+    proven = refused = 0
+    for h1, h2 in pairs:
+        src, tgt = gr.lex(h1.source, h2.source), gr.lex(h1.target, h2.target)
+        if h1._injective() or h2._null():
+            gr.GroupHom(src, tgt, "pairwise", (h1, h2))._sampled_validation()
+            proven += 1
+        elif h1 in atomic and h2 in atomic:
+            with pytest.raises(gr.HomError, match=" fails "):
+                gr.GroupHom(src, tgt, "pairwise", (h1, h2))
+            refused += 1
+    assert proven > 40 and refused > 5, (proven, refused)
+
+
+def test_proven_pairwise_skips_the_sampled_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"sampled check ran on {self}")
+
+    monkeypatch.setattr(gr.GroupHom, "_sampled_validation", refuse)
+    gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.zero_hom(gr.Z, gr.Z))
+    gr.pairwise_hom(gr.scale_hom(gr.Z, 3), gr.scale_hom(gr.Q, Fraction(1, 2)))
+    monkeypatch.undo()
+    with pytest.raises(gr.HomError, match=r"^pairwise\(scale\(0\),identity\) fails "):
+        gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
+
+
 def test_hom_apply_checks_its_argument():
     with pytest.raises(gr.ShapeError):
         gr.hom_apply(gr.scale_hom(gr.Z, 2), Fraction(1, 2))
@@ -506,8 +577,13 @@ def test_hom_apply_checks_its_argument():
 def test_library_modules_compute_with_the_ops_record():
     """Outside groups.py the library computes with spec.ops, so no module
     calls the checked g_add/g_cmp/g_meet or hom_apply, and none defines a
-    retired checked wrapper again at module level."""
+    retired checked wrapper again at module level.  Outside algebra.py
+    and sampling.py no module reaches an algebra's compiled kernels
+    (``_kernels``, whose make builds elements unchecked) or a ``_make``,
+    so outside values (witness families, images of phi and of homs) enter
+    an algebra only through alg.elem."""
     checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
+    unchecked = {"_kernels", "_make"}
     retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
                "fmt_elem", "base_maximality"}
     modules = sorted(Path(gr.__file__).parent.glob("*.py"))
@@ -520,6 +596,10 @@ def test_library_modules_compute_with_the_ops_record():
                     f = node.func
                     name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                     assert name not in checked, f"{path.name}:{node.lineno} calls {name}"
+        if path.name not in ("algebra.py", "sampling.py"):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr not in unchecked, f"{path.name}:{node.lineno} reads {node.attr}"
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = {node.name}
