@@ -510,8 +510,9 @@ def test_malformed_payload_is_a_hom_error():
             object.__setattr__(forged, name, value)
         with pytest.raises(gr.HomError, match="payload|components"):
             pickle.loads(pickle.dumps(forged))
-    with pytest.raises(gr.HomError, match="unknown hom kind"):
-        gr.GroupHom(gr.Z, gr.Z, "shift", ())
+    for kind in ("shift", ["zero"]):
+        with pytest.raises(gr.HomError, match="unknown hom kind"):
+            gr.GroupHom(gr.Z, gr.Z, kind, ())
 
 
 def nested_homs():
