@@ -557,15 +557,14 @@ def test_pairwise_proof_matches_the_sampled_check():
 
 
 def test_proven_pairwise_skips_the_sampled_check(monkeypatch):
+    """An injective head, or a zero tail, proves a pairwise hom, so it
+    builds without the sampled check (the functor's ZxQ hom is one)."""
     def refuse(self):
         raise AssertionError(f"sampled check ran on {self}")
 
     monkeypatch.setattr(gr.GroupHom, "_sampled_validation", refuse)
     gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.zero_hom(gr.Z, gr.Z))
     gr.pairwise_hom(gr.scale_hom(gr.Z, 3), gr.scale_hom(gr.Q, Fraction(1, 2)))
-    monkeypatch.undo()
-    with pytest.raises(gr.HomError, match=r"^pairwise\(scale\(0\),identity\) fails "):
-        gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
 
 
 def test_hom_apply_checks_its_argument():
