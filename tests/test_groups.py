@@ -1,5 +1,6 @@
 import ast
 import copy
+import functools
 import math
 import pickle
 import random
@@ -429,16 +430,45 @@ def catalog_atomic_homs():
     return homs
 
 
+def ref_sampled_check(h, samples=500):
+    """The sampled twin of the exact pairwise decision: preservation of +,
+    negation, join and meet on seeded samples, every image shape-checked
+    against the target.  It is sound only where it fails: a kernel hit
+    only by rare draws passes it."""
+    rng = random.Random(0xA11CE)
+    src, tgt = h.source.ops, h.target.ops
+
+    def image(v):
+        fv = h._raw_apply(v)
+        gr.check_shape(h.target, fv)
+        return fv
+
+    for _ in range(samples):
+        a = src.sample(rng, 25)
+        b = src.sample(rng, 25)
+        fa, fb = image(a), image(b)
+        if image(src.add(a, b)) != tgt.add(fa, fb):
+            raise gr.HomError(f"{h} fails additivity at {a!r}, {b!r}")
+        if image(src.neg(a)) != tgt.neg(fa):
+            raise gr.HomError(f"{h} fails negation at {a!r}")
+        if image(src.join(a, b)) != tgt.join(fa, fb):
+            raise gr.HomError(f"{h} fails join at {a!r}, {b!r}")
+        if image(src.meet(a, b)) != tgt.meet(fa, fb):
+            raise gr.HomError(f"{h} fails meet at {a!r}, {b!r}")
+
+
 def test_atomic_homs_pass_the_sampled_check():
-    """Atomic kinds skip the sampled check at construction because they
-    are l-homomorphisms by construction; running it must change nothing."""
+    """Atomic kinds are l-homomorphisms by construction; the sampled
+    check must agree."""
     for h in catalog_atomic_homs():
-        h._sampled_validation()
+        ref_sampled_check(h)
 
 
 def test_sampled_check_still_guards_pairwise():
-    """A pairwise map with a non-injective head component is additive and
-    monotone but no l-homomorphism; only the sampled check catches it."""
+    """A pairwise map whose head kills a positive element while its tail
+    is not zero is additive but not monotone, so no l-homomorphism:
+    pairwise(scale(Z, 0), identity(Z)) sends (1, -5) > 0 to (0, -5) < 0.
+    Construction refuses it; an injective head or a zero tail builds."""
     with pytest.raises(gr.HomError):
         gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
     with pytest.raises(gr.HomError):
@@ -450,24 +480,19 @@ def test_sampled_check_still_guards_pairwise():
 def test_failed_sampled_check_raises_on_every_construction():
     with pytest.raises(gr.HomError) as first:
         gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
-    assert str(first.value).startswith("pairwise(scale(0),identity) fails ")
+    assert str(first.value) == "pairwise(scale(0),identity) fails join at (1, 0), (0, 1)"
     for _ in range(3):
         with pytest.raises(gr.HomError) as again:
             gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
         assert str(again.value) == str(first.value)
 
 
-def test_compose_skips_the_sampled_check(monkeypatch):
+def test_compose_skips_the_sampled_check():
     """A composition of checked l-homomorphisms is one, so only its
     presentation is checked."""
     with pytest.raises(gr.HomError):
         gr.pairwise_hom(gr.scale_hom(gr.Z, 0), gr.identity_hom(gr.Z))
     p = gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.identity_hom(gr.Z))
-
-    def refuse(self):
-        raise AssertionError(f"sampled check ran on {self}")
-
-    monkeypatch.setattr(gr.GroupHom, "_sampled_validation", refuse)
     comp = gr.hom_compose(p, gr.inject_right_hom(gr.Z, gr.Z))
     assert gr.hom_apply(comp, 5) == (0, 5)
     with pytest.raises(gr.HomError, match="composition shape mismatch"):
@@ -497,9 +522,10 @@ def test_forged_hom_pickle_is_checked_on_load():
 
 
 def test_malformed_payload_is_a_hom_error():
-    """The payload's form is checked before anything reads it, so a
-    malformed presentation is a HomError, not an AttributeError or a
-    ValueError from unpacking, and an identity takes no payload."""
+    """The endpoints and the payload's form are checked before anything
+    reads them, so a malformed presentation is a HomError, not an
+    AttributeError or a ValueError from unpacking, and an identity takes
+    no payload."""
     bad = [("compose", (1, 2)), ("scale", ()), ("scale", (1, 2)), ("identity", (5,)),
            ("pairwise", (gr.identity_hom(gr.Z),)), ("zero", [])]
     for kind, payload in bad:
@@ -513,58 +539,146 @@ def test_malformed_payload_is_a_hom_error():
     for kind in ("shift", ["zero"]):
         with pytest.raises(gr.HomError, match="unknown hom kind"):
             gr.GroupHom(gr.Z, gr.Z, kind, ())
+    for source, target, kind in ((1, 2, "zero"), (None, gr.Z, "zero"), (1, 1, "identity")):
+        with pytest.raises(gr.HomError, match="endpoints must be GroupSpecs"):
+            gr.GroupHom(source, target, kind)
+        forged = object.__new__(gr.GroupHom)
+        for name, value in dict(source=source, target=target, kind=kind, payload=()).items():
+            object.__setattr__(forged, name, value)
+        with pytest.raises(gr.HomError, match="endpoints must be GroupSpecs"):
+            pickle.loads(pickle.dumps(forged))
 
 
 def nested_homs():
-    """Pairwise and composed homs, proven and unproven by the facts."""
+    """Pairwise and composed homs, some zero or one-to-one only as a
+    whole, and homs from a trivial group."""
     ZQ = gr.lex(gr.Z, gr.Q)
     inj = gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.identity_hom(gr.Q))
     null = gr.pairwise_hom(gr.zero_hom(gr.Z, gr.Z), gr.scale_hom(gr.Q, 0))
     head_only = gr.pairwise_hom(gr.scale_hom(gr.Z, 3), gr.zero_hom(gr.Q, gr.Q))
+    aff_head = gr.pairwise_hom(gr.identity_hom(gr.AFF), gr.zero_hom(gr.Z, gr.Z))
     return [
-        inj, null, head_only,
+        inj, null, head_only, aff_head,
         gr.hom_compose(inj, gr.inject_right_hom(gr.Z, gr.Q)),
         gr.hom_compose(null, gr.inject_right_hom(gr.Z, gr.Q)),
         gr.hom_compose(gr.zero_hom(ZQ, gr.Z), inj),
         gr.hom_compose(head_only, inj),
+        gr.hom_compose(head_only, gr.inject_right_hom(gr.Z, gr.Q)),
+        gr.hom_compose(aff_head, gr.inject_right_hom(gr.AFF, gr.Z)),
+        gr.hom_compose(gr.inject_right_hom(gr.Z, gr.Z), gr.scale_hom(gr.Z, 0)),
         gr.pairwise_hom(gr.identity_hom(gr.Z), head_only),
         gr.pairwise_hom(gr.zero_hom(gr.O, gr.Z), inj),
+        gr.identity_hom(gr.O),
+        gr.inject_right_hom(gr.Z, gr.O),
+        gr.hom_compose(gr.inject_right_hom(gr.Q, gr.lex(gr.Z, gr.O)), gr.inject_right_hom(gr.Z, gr.O)),
     ]
 
 
+# the base coordinates of ref_box: both signs at every level of each
+# group's chain of convex subgroups
+BOX = {"O": (0,), "Z": (-1, 0, 1), "Q": (Fraction(-1, 2), 0, 1),
+       "Aff": (gr.Aff(Fraction(1, 2), 1), gr.Aff(1, -1), gr.AFF_ID, gr.Aff(1, 1), gr.Aff(2, 0))}
+
+
+@functools.lru_cache(maxsize=None)
+def ref_box(spec):
+    if spec.kind == "lex":
+        return tuple((a, b) for a in ref_box(spec.left) for b in ref_box(spec.right))
+    return BOX[spec.kind]
+
+
+def ref_pairwise_is_l_hom(h1, h2) -> bool:
+    """Box-exhaustive reference: the additive map f(a, b) = (h1 a, h2 b)
+    is an l-homomorphism iff f(x v 0) = f(x) v 0 for every x, here every
+    x of the source's box, with the reference twins' join."""
+    src, tgt = gr.lex(h1.source, h2.source), gr.lex(h1.target, h2.target)
+    zs, zt = ref_zero(src), ref_zero(tgt)
+    for x in ref_box(src):
+        fx = (h1._raw_apply(x[0]), h2._raw_apply(x[1]))
+        x_pos = ref_lattice(src, x, zs, "join")
+        if (h1._raw_apply(x_pos[0]), h2._raw_apply(x_pos[1])) != ref_lattice(tgt, fx, zt, "join"):
+            return False
+    return True
+
+
+def assert_refusal_breaks_join(h1, h2, message):
+    """The refusal names a pair (a, b) of the source whose join the map
+    does not preserve, recomputed here with the ops records."""
+    prefix = f"pairwise({h1},{h2}) fails join at "
+    assert message.startswith(prefix), message
+    a, b = eval("(" + message[len(prefix):] + ")", {"Aff": gr.Aff, "Fraction": Fraction})
+    src, tgt = gr.lex(h1.source, h2.source).ops, gr.lex(h1.target, h2.target).ops
+    assert src.shape_ok(a) and src.shape_ok(b), message
+    f = lambda v: (h1._raw_apply(v[0]), h2._raw_apply(v[1]))
+    assert f(src.join(a, b)) != tgt.join(f(a), f(b)), message
+
+
 def test_pairwise_proof_matches_the_sampled_check():
-    """Over a linear head, pairwise(h1, h2) is an l-homomorphism iff h1
-    is injective or h2 is zero.  Wherever _injective or _null proves it,
-    the sampled check it skips must pass.  On pairs of atomic homs the
-    facts decide every pair, so every other such pair fails the check at
-    construction."""
-    atomic, nested = catalog_atomic_homs(), nested_homs()
-    pool = atomic + nested
+    """On seeded pairs of atomic and nested homs, compositions and trivial
+    sources among them, pairwise(h1, h2) builds exactly when the
+    box-exhaustive reference finds it an l-homomorphism.  Every accepted
+    pair passes the sampled check, and every refusal names a pair whose
+    join really is not preserved."""
+    pool = catalog_atomic_homs() + nested_homs()
     rng = random.Random(47)
-    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
-    pairs += [(gr.zero_hom(gr.Z, gr.Z), h) for h in nested] + [(h, gr.identity_hom(gr.Z)) for h in nested]
-    proven = refused = 0
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(500)]
+    accepted = refused = composed = trivial = 0
     for h1, h2 in pairs:
-        src, tgt = gr.lex(h1.source, h2.source), gr.lex(h1.target, h2.target)
-        if h1._injective() or h2._null():
-            gr.GroupHom(src, tgt, "pairwise", (h1, h2))._sampled_validation()
-            proven += 1
-        elif h1 in atomic and h2 in atomic:
-            with pytest.raises(gr.HomError, match=" fails "):
-                gr.GroupHom(src, tgt, "pairwise", (h1, h2))
+        want = ref_pairwise_is_l_hom(h1, h2)
+        try:
+            h = gr.pairwise_hom(h1, h2)
+        except gr.HomError as e:
+            assert not want, (str(h1), str(h2))
+            assert_refusal_breaks_join(h1, h2, str(e))
             refused += 1
-    assert proven > 40 and refused > 5, (proven, refused)
+        else:
+            assert want, str(h)
+            ref_sampled_check(h, 20)
+            accepted += 1
+        composed += "compose" in (h1.kind, h2.kind)
+        trivial += h1.source.ops.trivial or h2.source.ops.trivial
+    assert accepted > 300 and refused > 60 and composed > 50 and trivial > 50, (
+        accepted, refused, composed, trivial)
 
 
-def test_proven_pairwise_skips_the_sampled_check(monkeypatch):
-    """An injective head, or a zero tail, proves a pairwise hom, so it
-    builds without the sampled check (the functor's ZxQ hom is one)."""
-    def refuse(self):
-        raise AssertionError(f"sampled check ran on {self}")
+def test_pairwise_decision_refuses_what_the_samples_missed():
+    """Two pairwise maps that are no l-homomorphisms, yet pass the sampled
+    check: their heads kill only elements that seeded draws rarely hit."""
+    p = gr.pairwise_hom(gr.scale_hom(gr.Z, 3), gr.zero_hom(gr.Q, gr.Q))
+    cases = [(gr.pairwise_hom(gr.identity_hom(gr.Z), p), p),
+             (gr.pairwise_hom(gr.identity_hom(gr.AFF), gr.zero_hom(gr.Z, gr.Z)), gr.identity_hom(gr.Z))]
+    for h1, h2 in cases:
+        assert not ref_pairwise_is_l_hom(h1, h2)
+        with pytest.raises(gr.HomError) as refusal:
+            gr.pairwise_hom(h1, h2)
+        assert_refusal_breaks_join(h1, h2, str(refusal.value))
+        forged = object.__new__(gr.GroupHom)
+        fields = dict(source=gr.lex(h1.source, h2.source), target=gr.lex(h1.target, h2.target),
+                      kind="pairwise", payload=(h1, h2))
+        for name, value in fields.items():
+            object.__setattr__(forged, name, value)
+        ref_sampled_check(forged)
 
-    monkeypatch.setattr(gr.GroupHom, "_sampled_validation", refuse)
+
+def test_proven_pairwise_skips_the_sampled_check():
+    """An injective head, or a zero tail, makes a pairwise hom (the
+    functor's ZxQ hom is one)."""
     gr.pairwise_hom(gr.scale_hom(gr.Z, 2), gr.zero_hom(gr.Z, gr.Z))
     gr.pairwise_hom(gr.scale_hom(gr.Z, 3), gr.scale_hom(gr.Q, Fraction(1, 2)))
+
+
+def test_small_and_large_facts():
+    """small is None exactly on a trivial group, whose large is 0; on any
+    other, 0 < small <= large."""
+    for spec in TWIN_SPECS:
+        ops = spec.ops
+        assert (ops.small is None) == ref_trivial(spec), spec
+        if ops.small is None:
+            assert ops.large == ref_zero(spec), spec
+            continue
+        assert ops.shape_ok(ops.small) and ops.shape_ok(ops.large), spec
+        assert ref_cmp(spec, ops.small, ops.zero) > 0 and ref_cmp(spec, ops.large, ops.zero) > 0, spec
+        assert ref_cmp(spec, ops.small, ops.large) <= 0, spec
 
 
 def test_hom_apply_checks_its_argument():
@@ -581,11 +695,14 @@ def test_library_modules_compute_with_the_ops_record():
     and sampling.py no module reaches an algebra's compiled kernels
     (``_kernels``, whose make builds elements unchecked) or a ``_make``,
     so outside values (witness families, images of phi and of homs) enter
-    an algebra only through alg.elem."""
+    an algebra only through alg.elem.  GroupHom decides pairwise homs
+    exactly, so the sampled check, its sample count and the facts that
+    decided when it ran stay gone."""
     checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
     unchecked = {"_kernels", "_make"}
     retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
-               "fmt_elem", "base_maximality"}
+               "fmt_elem", "base_maximality", "_HOM_VALIDATION_SAMPLES"}
+    retired_hom_methods = {"_sampled_validation", "_injective", "_null"}
     modules = sorted(Path(gr.__file__).parent.glob("*.py"))
     assert len(modules) >= 10
     for path in modules:
@@ -601,6 +718,9 @@ def test_library_modules_compute_with_the_ops_record():
                 if isinstance(node, ast.Attribute):
                     assert node.attr not in unchecked, f"{path.name}:{node.lineno} reads {node.attr}"
         for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "GroupHom":
+                methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                assert not methods & retired_hom_methods, f"GroupHom defines {methods}"
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = {node.name}
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
