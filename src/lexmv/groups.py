@@ -530,8 +530,8 @@ def _compile(spec: GroupSpec) -> GroupOps:
         check_unit=check_unit, ord=ord_, state=state, scalars=None,
         # the convex subgroups are {0} x C below C' x G, for C convex in G
         # and C' in H
-        small=(h_zero, tail.small) if tail.small is not None
-        else None if head.small is None else (head.small, tail.zero),
+        small=((h_zero, tail.small) if not tail.trivial
+               else None if head.trivial else (head.small, tail.zero)),
         large=(h_zero, tail.large) if head.trivial else (head.large, tail.zero),
         abelian=head.abelian and tail.abelian,
         linear=head.linear and tail.linear,
