@@ -114,6 +114,33 @@ CASES = [
     ["check-axioms", "gamma(Z,3)", "--samples", "0"],
     ["witness", "gamma(lex(Z,Z),(2,1))", "--samples", "0"],
     ["lexify", "gamma(lex(Z,Z),(2,1))", "--samples", "0"],
+    # parse errors: a missing "(", "," or ")" in each argument list
+    ["check-axioms", "gamma(lex Z,Z),(1,0))", *S],
+    ["check-axioms", "gamma(lex(Z Z),(1,0))", *S],
+    ["check-axioms", "gamma(lex(Z,Z,(1,0))", *S],
+    ["classify", "gamma(lex(Z,Z),(2,0))", "--elem", "1,0)", *S],
+    ["classify", "gamma(lex(Z,Z),(2,0))", "--elem", "(1 0)", *S],
+    ["classify", "gamma(lex(Z,Z),(2,0))", "--elem", "(1,0", *S],
+    ["check-axioms", "gamma(Aff,aff 2,0))", *S],
+    ["check-axioms", "gamma(Aff,aff(2 0))", *S],
+    ["check-axioms", "gamma(Aff,aff(2,0)", *S],
+    ["check-axioms", "gamma Z,1)", *S],
+    ["check-axioms", "gamma(Z 1)", *S],
+    ["check-axioms", "gamma(Z,1", *S],
+    ["check-axioms", "chain 3)", *S],
+    ["check-axioms", "chain(3,4)", *S],
+    ["check-axioms", "chain(3", *S],
+    ["check-axioms", "prod chain(1),chain(2))", *S],
+    ["check-axioms", "prod(chain(1) chain(2))", *S],
+    ["check-axioms", "prod(chain(1),chain(2)", *S],
+    # parse errors: bad characters and numbers, trailing input, line 2, nesting
+    ["check-axioms", "gamma(Z,-)", *S],
+    ["check-axioms", "gamma(Z,@)", *S],
+    ["check-axioms", "gamma(Q,1/0)", *S],
+    ["check-axioms", "chain(0)", *S],
+    ["check-axioms", "chain(2) chain(3)", *S],
+    ["check-axioms", "gamma(Q,\r\n\t1/)", *S],
+    ["check-axioms", "gamma(Z," + "(" * 100 + "1" + ",0)" * 100 + ")", *S],
 ]
 
 
