@@ -14,7 +14,6 @@ import sys
 import time
 
 from . import dsl, finite
-from . import groups as gr
 from .algebra import IntervalError
 from .axioms import axiom_report
 from .finite import CapExceeded, FiniteMv
@@ -206,7 +205,7 @@ def _run_command(args) -> Report:
         rep = Report("states", "pass")
         rep.details["count"] = len(states)
         rep.details["states"] = [
-            {a.label(x): gr.fmt_rat(s(x)) for x in range(a.size)} for s in states
+            {a.label(x): str(s(x)) for x in range(a.size)} for s in states
         ]
         for s in states:
             if not finite.state_is_additive(a, s):

@@ -14,9 +14,10 @@ finite tables.  The printer emits canonical text, stable under reparse.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import groups as gr
 from .algebra import PmvAlgebra
@@ -39,52 +40,33 @@ class SemanticError(ParseError):
 # Tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "int" | "punct" | "end"
     text: str
     line: int
     col: int
 
 
+# One alternative per token kind.  Tokens are ASCII; whitespace is any
+# Unicode space, and a newline starts a line.  Any other character ends
+# in the catch-all "bad".
+_TOKEN = re.compile(
+    r"(?P<name>[A-Za-z]+)|(?P<int>-?[0-9]+)|(?P<punct>[(),/])|(?P<space>\s)|(?P<bad>.)")
+
+
 def tokenize(text: str) -> list:
     toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            toks.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "(),/":
-            toks.append(Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("end", "", line, col))
+    line, start = 1, 0  # start: the index where the current line begins
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "space":
+            if tok == "\n":
+                line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+        else:
+            toks.append(Token(kind, tok, line, col))
+    toks.append(Token("end", "", line, len(text) - start + 1))
     return toks
 
 
@@ -173,23 +155,28 @@ class _Parser:
             raise ParseError(f"expected {want!r}, got {got!r}", t.line, t.col)
         return self.take()
 
+    def args(self, *rules) -> list:
+        """'(' then the rules separated by ',' then ')': the rules' nodes."""
+        self.expect("punct", "(")
+        out = []
+        for i, rule in enumerate(rules):
+            if i:
+                self.expect("punct", ",")
+            out.append(rule())
+        self.expect("punct", ")")
+        return out
+
     def group(self) -> GroupNode:
         t = self.expect("name")
         span = (t.line, t.col)
         if t.text in gr.KINDS:
             return GroupNode(span, t.text)
         if t.text == "lex":
-            self.expect("punct", "(")
-            left = self.group()
-            self.expect("punct", ",")
-            right = self.group()
-            self.expect("punct", ")")
-            return GroupNode(span, "lex", left, right)
+            return GroupNode(span, "lex", *self.args(self.group, self.group))
         raise ParseError(f"unknown group {t.text!r}", t.line, t.col)
 
     def _int(self) -> int:
-        t = self.expect("int")
-        return int(t.text)
+        return int(self.expect("int").text)
 
     def rat(self) -> RatNode:
         t = self.peek()
@@ -209,19 +196,10 @@ class _Parser:
         if t.kind == "int":
             return self.rat()
         if t.kind == "punct" and t.text == "(":
-            self.take()
-            left = self.elem()
-            self.expect("punct", ",")
-            right = self.elem()
-            self.expect("punct", ")")
-            return PairNode(span, left, right)
+            return PairNode(span, *self.args(self.elem, self.elem))
         if t.kind == "name" and t.text == "aff":
             self.take()
-            self.expect("punct", "(")
-            a = self.rat()
-            self.expect("punct", ",")
-            b = self.rat()
-            self.expect("punct", ")")
+            a, b = self.args(self.rat, self.rat)
             return AffNode(span, a.value, b.value)
         raise ParseError(f"expected an element, got {t.text!r}", t.line, t.col)
 
@@ -229,53 +207,37 @@ class _Parser:
         t = self.expect("name")
         span = (t.line, t.col)
         if t.text == "gamma":
-            self.expect("punct", "(")
-            g = self.group()
-            self.expect("punct", ",")
-            u = self.elem()
-            self.expect("punct", ")")
-            return GammaNode(span, g, u)
+            return GammaNode(span, *self.args(self.group, self.elem))
         if t.text == "chain":
-            self.expect("punct", "(")
-            n = self._int()
-            self.expect("punct", ")")
+            (n,) = self.args(self._int)
             if n < 1:
                 raise SemanticError("chain needs n >= 1", *span)
             return ChainNode(span, n)
         if t.text == "prod":
-            self.expect("punct", "(")
-            left = self.algebra()
-            self.expect("punct", ",")
-            right = self.algebra()
-            self.expect("punct", ")")
-            return ProdNode(span, left, right)
+            return ProdNode(span, *self.args(self.algebra, self.algebra))
         raise ParseError(f"unknown algebra {t.text!r}", t.line, t.col)
 
-    def done(self):
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+
+def _parse(text: str, rule) -> Node:
+    """Run one _Parser rule over the whole of text."""
+    p = _Parser(text)
+    node = rule(p)
+    t = p.peek()
+    if t.kind != "end":
+        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    return node
 
 
 def parse(text: str) -> Node:
-    p = _Parser(text)
-    node = p.algebra()
-    p.done()
-    return node
+    return _parse(text, _Parser.algebra)
 
 
 def parse_group(text: str) -> GroupNode:
-    p = _Parser(text)
-    node = p.group()
-    p.done()
-    return node
+    return _parse(text, _Parser.group)
 
 
 def parse_elem(text: str) -> Node:
-    p = _Parser(text)
-    node = p.elem()
-    p.done()
-    return node
+    return _parse(text, _Parser.elem)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +250,7 @@ def print_ast(node: Node) -> str:
             return f"lex({print_ast(node.left)},{print_ast(node.right)})"
         return node.kind
     if isinstance(node, RatNode):
-        return gr.fmt_rat(node.value)
+        return str(node.value)
     if isinstance(node, PairNode):
         return f"({print_ast(node.left)},{print_ast(node.right)})"
     if isinstance(node, AffNode):

@@ -53,6 +53,14 @@ class GroupSpec:
     left: Optional["GroupSpec"] = None
     right: Optional["GroupSpec"] = None
 
+    def __post_init__(self):
+        # a base kind has no factors and lex has two specs; a pickle loads
+        # through here too
+        factors = (self.left, self.right)
+        base = isinstance(self.kind, str) and self.kind in KINDS and factors == (None, None)
+        if not (base or self.kind == "lex" and all(isinstance(f, GroupSpec) for f in factors)):
+            raise ValueError(f"not a group spec: {self.kind!r} with factors {self.left}, {self.right}")
+
     @cached_property
     def ops(self) -> "GroupOps":
         """The compiled rules of this group (see GroupOps)."""
@@ -66,12 +74,6 @@ class GroupSpec:
         if self.kind == "lex":
             return f"lex({self.left},{self.right})"
         return self.kind
-
-
-O = GroupSpec("O")
-Z = GroupSpec("Z")
-Q = GroupSpec("Q")
-AFF = GroupSpec("Aff")
 
 
 def lex(left: GroupSpec, right: GroupSpec) -> GroupSpec:
@@ -93,12 +95,6 @@ def _is_rat(v) -> bool:
 def fmt_ratio(n: int, d: int) -> str:
     """The reduced rational n/d, d > 0, as a DSL literal."""
     return str(n) if d == 1 else f"{n}/{d}"
-
-
-def fmt_rat(v) -> str:
-    if isinstance(v, Fraction):
-        return fmt_ratio(v.numerator, v.denominator)
-    return str(v)
 
 
 class Aff:
@@ -398,7 +394,7 @@ def _require(ok, message: str):
 # the sampler's slopes, as (numerator, denominator)
 _AFF_SLOPES = ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))
 
-_NUMBER = dict(fmt=fmt_rat, central=lambda v: True, ord=_num_ord, abelian=True, linear=True,
+_NUMBER = dict(fmt=str, central=lambda v: True, ord=_num_ord, abelian=True, linear=True,
                archimedean=True)
 _INT = dict(add=operator.add, neg=operator.neg, cmp=_num_cmp, meet=lambda a, b: b if b < a else a,
             join=lambda a, b: a if b < a else b, **_NUMBER)
@@ -444,6 +440,12 @@ KINDS = {
         small=_aff((1, 1, 1, 1)), large=_aff((2, 1, 0, 1)),
     ),
 }
+
+
+O = GroupSpec("O")
+Z = GroupSpec("Z")
+Q = GroupSpec("Q")
+AFF = GroupSpec("Aff")
 
 
 def _compile(spec: GroupSpec) -> GroupOps:
@@ -698,7 +700,7 @@ class GroupHom:
 
     def __str__(self) -> str:
         if self.kind == "scale":
-            return f"scale({fmt_rat(self.payload[0])})"
+            return f"scale({self.payload[0]})"
         if self.kind == "pairwise":
             return f"pairwise({self.payload[0]},{self.payload[1]})"
         if self.kind == "compose":

@@ -11,10 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
-
-from .groups import fmt_rat
 
 
 @dataclass
@@ -74,8 +71,6 @@ def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Rand
 
 
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return fmt_rat(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -36,6 +36,11 @@ def test_tokenize_spans():
     assert (toks[4].line, toks[4].col) == (2, 2)
     with pytest.raises(ParseError, match="1:7"):
         tokenize("gamma(@)")
+    # tokens are ASCII: a non-ASCII letter is refused where it stands, and
+    # Unicode whitespace is still skipped
+    with pytest.raises(ParseError, match="^1:6: unexpected character 'é'$"):
+        tokenize("gammaé(Z,1)")
+    assert [t.text for t in tokenize("chain(\u00a03\u2003)")] == ["chain", "(", "3", ")", ""]
 
 
 def test_parse_errors_carry_position():
@@ -373,6 +378,23 @@ def test_cli_rejects_negative_numeric_flags(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"lexmv: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, where, char",
+    [
+        (["check-axioms", "gamma(Z,²)"], "1:9", "²"),
+        (["check-axioms", "chain(¹)"], "1:7", "¹"),
+        (["check-axioms", "gamma(Z,٣)"], "1:9", "٣"),
+        (["classify", "gamma(lex(Z,Z),(2,0))", "--elem", "(1,³)"], "1:4", "³"),
+    ],
+)
+def test_cli_refuses_non_ascii_digits(capsys, argv, where, char):
+    code = cli.main(["run", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"lexmv: {where}: unexpected character {char!r}\n"
 
 
 def test_parser_nesting_limit(capsys):

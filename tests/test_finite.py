@@ -65,14 +65,30 @@ def test_make_subalgebra():
 
 
 def test_check_axioms_catches_corruption():
-    op = [list(r) for r in C2.oplus]
-    op[1][1] = 0  # break associativity/A6
-    bad = FiniteMv(3, tuple(tuple(r) for r in op), C2.neg, 0, 2, unchecked=True)
-    rep = finite.check_axioms(bad)
-    assert not rep.ok
-    assert rep.counterexamples
-    with pytest.raises(TableError):
-        FiniteMv(3, tuple(tuple(r) for r in op), C2.neg, 0, 2)
+    """One broken table per clause: an oplus cell (x, y, value) and any
+    other fields replaced, each caught by the clause it breaks first."""
+    broken = [
+        ("shape", C2, None, dict(neg=(2, 1))),
+        ("closure", C2, (0, 0, 3), {}),
+        ("A1", C2, (2, 2, 1), {}),
+        ("A2", C2, (0, 0, 1), {}),
+        ("A3", C2, (0, 2, 0), {}),
+        ("A4", make_chain(1), None, dict(neg=(0, 1))),
+        ("A6", C2, (0, 1, 0), {}),
+        ("A7", C2, (1, 1, 0), {}),
+        ("A8", C2, None, dict(neg=(1, 1, 0))),
+    ]
+    for clause, base, cell, fields in broken:
+        op = [list(r) for r in base.oplus]
+        if cell:
+            op[cell[0]][cell[1]] = cell[2]
+        parts = dict(size=base.size, oplus=tuple(map(tuple, op)), neg=base.neg, zero=base.zero,
+                     one=base.one)
+        rep = finite.check_axioms(FiniteMv(**{**parts, **fields}, unchecked=True))
+        assert rep.verdict == "fail"
+        assert [c["clause"] for c in rep.counterexamples] == [clause], clause
+        with pytest.raises(TableError, match=f"'{clause}'"):
+            FiniteMv(**{**parts, **fields})
 
 
 def test_enumerate_ideals_chain():

@@ -185,11 +185,46 @@ def test_hom_rejects_non_homs():
         gr.scale_hom(gr.AFF, 2)
     with pytest.raises(gr.HomError):
         gr.GroupHom(gr.Z, gr.Q, "identity")
+    ZQ, ident = gr.lex(gr.Z, gr.Q), gr.identity_hom(gr.Z)
+    shapes = [
+        ("pairwise requires lex source", gr.Z, gr.Z, "pairwise", (ident, ident)),
+        ("pairwise left component", ZQ, ZQ, "pairwise", (gr.identity_hom(gr.Q), ident)),
+        ("pairwise right component", ZQ, ZQ, "pairwise", (ident, ident)),
+        (r"inject_right target must be lex\(H, source\)", gr.Q, ZZ, "inject_right", ()),
+        ("composition endpoint mismatch", gr.Q, gr.Z, "compose", (ident, ident)),
+    ]
+    for message, source, target, kind, payload in shapes:
+        with pytest.raises(gr.HomError, match=message):
+            gr.GroupHom(source, target, kind, payload)
+    with pytest.raises(gr.HomError, match="cannot compose: Q != Z"):
+        gr.hom_compose(ident, gr.identity_hom(gr.Q))
 
 
 def test_hom_equal():
     assert gr.hom_equal(gr.scale_hom(gr.Z, 1), gr.identity_hom(gr.Z))
     assert not gr.hom_equal(gr.scale_hom(gr.Z, 1), gr.scale_hom(gr.Z, 2))
+    assert not gr.hom_equal(gr.scale_hom(gr.Z, 2), gr.scale_hom(gr.Z, 3))
+    assert not gr.hom_equal(gr.identity_hom(gr.Z), gr.identity_hom(gr.Q))
+
+
+def test_group_specs_are_checked():
+    """A base kind takes no factors and lex takes two specs, so a bad spec
+    is refused where it is built, and a forged pickle where it loads."""
+    for bad in [("W",), ("lex",), ("lex", gr.Z), ("lex", gr.Z, "Q"), ("Z", gr.Z, gr.Q), (["Z"],)]:
+        with pytest.raises(ValueError, match="not a group spec"):
+            gr.GroupSpec(*bad)
+    with pytest.raises(ValueError, match="not a group spec: 'W'"):
+        gr.GroupHom(gr.GroupSpec("W"), gr.GroupSpec("W"), "scale", (1,))
+    with pytest.raises(ValueError, match="not a group spec: 'W'"):
+        gr.GroupHom(gr.GroupSpec("W"), gr.GroupSpec("W"), "zero")
+    with pytest.raises(ValueError, match="not a group spec: 'lex'"):
+        gr.GroupHom(gr.GroupSpec("lex"), gr.GroupSpec("lex"), "identity")
+    forged = object.__new__(gr.GroupSpec)
+    for name, value in dict(kind="Z", left=gr.Z, right=gr.Q).items():
+        object.__setattr__(forged, name, value)
+    with pytest.raises(ValueError, match="not a group spec: 'Z'"):
+        pickle.loads(pickle.dumps(forged))
+    assert pickle.loads(pickle.dumps(ZZ)) == ZZ
 
 
 def test_fmt_elem():
@@ -762,8 +797,13 @@ def ref_fmt_elem(spec, v) -> str:
     if spec.kind == "lex":
         return f"({ref_fmt_elem(spec.left, v[0])},{ref_fmt_elem(spec.right, v[1])})"
     if spec.kind == "Aff":
-        return f"aff({gr.fmt_rat(v.slope)},{gr.fmt_rat(v.shift)})"
-    return gr.fmt_rat(v)
+        return f"aff({ref_fmt_rat(v.slope)},{ref_fmt_rat(v.shift)})"
+    return ref_fmt_rat(v)
+
+
+def ref_fmt_rat(v) -> str:
+    v = Fraction(v)
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 REF_AFF_SLOPES = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2),

@@ -247,6 +247,11 @@ def test_state_on_base_with_trivial_head():
     rep = theorem_suite(canonical_witness(LexAlgebra.from_algebra(nested), "strong"), 300, seed=22)
     assert rep.ok, rep.counterexamples
     assert rep.details["v-state"] == "pass"
+    # a trivial base has no closed-form state, so v-state is skipped
+    trivial = PmvAlgebra(gr.UnitalGroup(gr.lex(gr.O, gr.O), (0, 0)))
+    rep = theorem_suite(canonical_witness(LexAlgebra.from_algebra(trivial), "strong"), 50, seed=22)
+    assert rep.ok, rep.counterexamples
+    assert rep.details["v-state"] == "skipped: no closed-form base state"
 
 
 def test_maximality_trichotomy_consistency():
@@ -304,5 +309,13 @@ def test_functor_laws_and_extraction():
 
 
 def test_extract_rejects_non_slicewise_maps():
-    with pytest.raises(ExtractionError):
+    with pytest.raises(ExtractionError, match="identical bases and offset 0"):
         extract_morphism(theta())
+    a = L20.algebra
+    to_one = Mapping(a, a, lambda x: a.one, description="x |-> 1")
+    with pytest.raises(ExtractionError, match="does not fix the base slice-wise"):
+        extract_morphism(to_one)
+    square = lambda x: a.elem((0, x.value[1] ** 2)) if x.value[0] == 0 else x
+    squared = Mapping(a, a, square, description="(0,g) |-> (0,g^2)")
+    with pytest.raises(ExtractionError, match=r"no catalog homomorphism matches \(0,g\) \|-> "):
+        extract_morphism(squared)
