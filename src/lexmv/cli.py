@@ -101,12 +101,6 @@ def _load(args) -> object:
     return _build(args.dsl, args.command, args.cap)
 
 
-def _need_finite(alg, cap: int) -> FiniteMv:
-    fin = dsl.as_finite(alg)
-    _check_cap(fin.size, cap)
-    return fin
-
-
 def _default_kind(args, la: LexAlgebra) -> str:
     if args.kind:
         return args.kind
@@ -181,7 +175,7 @@ def _run_command(args) -> Report:
         rep.details["target"] = str(phi.target)
         return rep
 
-    a = _need_finite(alg, args.cap)
+    a = dsl.as_finite(alg)
 
     if cmd == "ideals":
         infos = finite.enumerate_ideals(a, args.cap)
@@ -233,15 +227,10 @@ def _run_command(args) -> Report:
     if cmd == "lexid":
         rep = Report("lexid", "pass")
         rows = []
-        found = False
-        infos = finite.enumerate_ideals(a, args.cap)
-        masks = [info.mask for info in infos]
-        for info in infos:
-            ok, clauses = finite.is_lexicographic_ideal(a, info.mask, masks)
-            found = found or ok
-            rows.append({"elements": a.mask_labels(info.mask),
-                         "lexicographic": ok, "clauses": clauses})
-        rep.details["exists"] = found
+        for mask in finite.enumerate_ideal_masks(a):
+            ok, clauses = finite.is_lexicographic_ideal(a, mask)
+            rows.append({"elements": a.mask_labels(mask), "lexicographic": ok, "clauses": clauses})
+        rep.details["exists"] = any(row["lexicographic"] for row in rows)
         rep.details["ideals"] = rows
         return rep
 
@@ -254,7 +243,7 @@ def _run_command(args) -> Report:
     if cmd == "isomorphic":
         if args.other is None:
             raise UsageError("isomorphic needs --other with a second algebra")
-        b = _need_finite(_build(args.other, cmd, args.cap), args.cap)
+        b = dsl.as_finite(_build(args.other, cmd, args.cap))
         ok, bij = finite.brute_isomorphic(a, b)
         rep = Report("isomorphic", "pass" if ok else "fail")
         rep.details["sizes"] = [a.size, b.size]

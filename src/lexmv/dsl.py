@@ -176,7 +176,11 @@ class _Parser:
         raise ParseError(f"unknown group {t.text!r}", t.line, t.col)
 
     def _int(self) -> int:
-        return int(self.expect("int").text)
+        t = self.expect("int")
+        try:
+            return int(t.text)
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(str(exc), t.line, t.col) from None
 
     def rat(self) -> RatNode:
         t = self.peek()

@@ -221,33 +221,32 @@ def _is_normal(a: FiniteMv, mask: int) -> bool:
     )
 
 
-def ideal_flags(a: FiniteMv, mask: int, all_ideals=None) -> IdealInfo:
-    n = a.size
-    full = (1 << n) - 1
-    normal = _is_normal(a, mask)
-    if all_ideals is None:
-        all_ideals = enumerate_ideal_masks(a)
-    maximal = mask != full and not any(
-        j != full and j != mask and (j & mask) == mask for j in all_ideals
+def _is_prime(a: FiniteMv, mask: int) -> bool:
+    """Proper, and x /\\ y in I only when x or y is."""
+    n = range(a.size)
+    return mask != (1 << a.size) - 1 and all(
+        mask >> x & 1 or mask >> y & 1 for x in n for y in n if mask >> a.meet(x, y) & 1
     )
-    prime = mask != full and all(
-        mask >> x & 1 or mask >> y & 1
-        for x in range(n)
-        for y in range(n)
-        if mask >> a.meet(x, y) & 1
-    )
-    commutative = all(
-        _congruent(a, mask, a.oplus[x][y], a.oplus[y][x])
-        for x in range(n)
-        for y in range(n)
-    )
-    strict = all(
-        a.le(x, y) and x != y
-        for x in range(n)
-        for y in range(n)
-        if _quot_le(a, mask, x, y) and not _quot_le(a, mask, y, x)
-    )
-    return IdealInfo(mask, normal, maximal, prime, commutative, strict)
+
+
+def _is_commutative(a: FiniteMv, mask: int) -> bool:
+    """x (+) y and y (+) x are congruent modulo I."""
+    n = range(a.size)
+    return all(_congruent(a, mask, a.oplus[x][y], a.oplus[y][x]) for x in n for y in n)
+
+
+def _is_strict(a: FiniteMv, mask: int) -> bool:
+    """x/I < y/I only when x < y."""
+    n = range(a.size)
+    return all(a.le(x, y) and x != y for x in n for y in n
+               if _quot_le(a, mask, x, y) and not _quot_le(a, mask, y, x))
+
+
+def _maximal_masks(a: FiniteMv, masks) -> list:
+    """The maximal ideals among masks, which must be every ideal of a."""
+    full = (1 << a.size) - 1
+    return [m for m in masks
+            if m != full and not any(j not in (full, m) and j & m == m for j in masks)]
 
 
 def enumerate_ideal_masks(a: FiniteMv) -> list:
@@ -262,7 +261,12 @@ def enumerate_ideals(a: FiniteMv, cap: int = 12) -> list:
     if a.size > cap:
         raise CapExceeded(f"ideal enumeration capped at {cap} elements, got {a.size}")
     masks = enumerate_ideal_masks(a)
-    return [ideal_flags(a, m, masks) for m in masks]
+    maximal = set(_maximal_masks(a, masks))
+    return [
+        IdealInfo(m, _is_normal(a, m), m in maximal, _is_prime(a, m), _is_commutative(a, m),
+                  _is_strict(a, m))
+        for m in masks
+    ]
 
 
 def generated_normal_ideal(a: FiniteMv, x: int) -> int:
@@ -284,15 +288,11 @@ def generated_normal_ideal(a: FiniteMv, x: int) -> int:
 def radical_suite(a: FiniteMv) -> tuple:
     """(Rad, Rad_n, Infinit) as masks: the intersection of maximal ideals,
     of normal maximal ideals, and the infinite-order elements."""
-    infos = enumerate_ideals(a, cap=a.size)
-    full = (1 << a.size) - 1
-    rad = full
-    rad_n = full
-    for info in infos:
-        if info.maximal:
-            rad &= info.mask
-            if info.normal:
-                rad_n &= info.mask
+    rad = rad_n = (1 << a.size) - 1
+    for m in _maximal_masks(a, enumerate_ideal_masks(a)):
+        rad &= m
+        if _is_normal(a, m):
+            rad_n &= m
     infinit = 0
     for x in range(a.size):
         if is_infinitesimal(a, x):
@@ -457,21 +457,15 @@ def has_complement(a: FiniteMv, mask: int) -> tuple:
     return False, None
 
 
-def is_lexicographic_ideal(a: FiniteMv, mask: int, all_ideals=None) -> tuple:
-    """(bool, clause dict): proper, commutative, strict, retractive, prime.
-    `all_ideals` (every ideal mask) is enumerated when not given."""
-    full = (1 << a.size) - 1
-    info = ideal_flags(a, mask, all_ideals)
+def is_lexicographic_ideal(a: FiniteMv, mask: int) -> tuple:
+    """(bool, clause dict): proper, commutative, strict, prime, retractive."""
     clauses = {
-        "proper": mask != 1 << a.zero and mask != full,
-        "commutative": info.commutative,
-        "strict": info.strict,
-        "prime": info.prime,
+        "proper": mask != 1 << a.zero and mask != (1 << a.size) - 1,
+        "commutative": _is_commutative(a, mask),
+        "strict": _is_strict(a, mask),
+        "prime": _is_prime(a, mask),
+        "retractive": _is_normal(a, mask) and is_retractive(a, mask)[0],
     }
-    if info.normal:
-        clauses["retractive"] = is_retractive(a, mask)[0]
-    else:
-        clauses["retractive"] = False
     return all(clauses.values()), clauses
 
 
@@ -491,10 +485,10 @@ def extremal_states(a: FiniteMv) -> list:
     """One extremal state per maximal ideal: the quotient by a maximal
     normal ideal is a finite chain, valued k/n along its order."""
     out = []
-    for info in enumerate_ideals(a, cap=a.size):
-        if not (info.maximal and info.normal):
+    for m in _maximal_masks(a, enumerate_ideal_masks(a)):
+        if not _is_normal(a, m):
             continue
-        q, proj = quotient(a, info.mask)
+        q, proj = quotient(a, m)
         order = sorted(range(q.size), key=lambda k: sum(q.le(j, k) for j in range(q.size)))
         rank = {k: i for i, k in enumerate(order)}
         n = q.size - 1
@@ -514,9 +508,8 @@ def state_is_additive(a: FiniteMv, s: FiniteState) -> bool:
 
 
 def is_local(a: FiniteMv) -> bool:
-    infos = enumerate_ideals(a, cap=a.size)
-    maxes = [i for i in infos if i.maximal]
-    return len(maxes) == 1 and maxes[0].normal
+    maxes = _maximal_masks(a, enumerate_ideal_masks(a))
+    return len(maxes) == 1 and _is_normal(a, maxes[0])
 
 
 # ---------------------------------------------------------------------------

@@ -741,15 +741,3 @@ def pairwise_hom(h1: GroupHom, h2: GroupHom) -> GroupHom:
 
 def inject_right_hom(head: GroupSpec, source: GroupSpec) -> GroupHom:
     return GroupHom(source, lex(head, source), "inject_right")
-
-
-def hom_equal(h1: GroupHom, h2: GroupHom, samples: int = 500, seed: int = 0) -> bool:
-    """Extensional equality on seeded samples (presentations may differ)."""
-    if h1.source != h2.source or h1.target != h2.target:
-        return False
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a = h1.source.ops.sample(rng, 25)
-        if h1._raw_apply(a) != h2._raw_apply(a):
-            return False
-    return True

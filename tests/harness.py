@@ -1,0 +1,16 @@
+"""Test-side helpers that the library itself does not need."""
+
+import random
+
+
+def hom_equal(h1, h2, samples: int = 500, seed: int = 0) -> bool:
+    """Extensional equality of two GroupHoms on seeded samples (their
+    presentations may differ)."""
+    if h1.source != h2.source or h1.target != h2.target:
+        return False
+    rng = random.Random(seed)
+    for _ in range(samples):
+        a = h1.source.ops.sample(rng, 25)
+        if h1._raw_apply(a) != h2._raw_apply(a):
+            return False
+    return True

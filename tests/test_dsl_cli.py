@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from fractions import Fraction
@@ -225,8 +226,16 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
     def no_build(*args):
         raise AssertionError("a table was built past the cap")
 
-    monkeypatch.setattr(finite, "make_chain", no_build)
-    monkeypatch.setattr(dsl, "make_chain", no_build)
+    def refused(argv, size):
+        code, out = run_cli(capsys, "run", *argv)
+        assert code == 1, argv
+        rep = json.loads(out)
+        assert rep["verdict"] == "cap-exceeded", argv
+        assert rep["details"]["reason"] == f"algebra has {size} elements, cap is 12", argv
+
+    for name in ("make_chain", "make_product"):
+        monkeypatch.setattr(finite, name, no_build)
+        monkeypatch.setattr(dsl, name, no_build)
     for argv, size in [
         (("ideals", "gamma(Z,100000)"), 100001),
         (("ideals", "gamma(lex(O,Z),(0,100000))"), 100001),
@@ -235,16 +244,18 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
         (("check-axioms", "chain(200)"), 201),
         (("check-axioms", "prod(chain(200),chain(1))"), 402),
     ]:
-        code, out = run_cli(capsys, "run", *argv)
-        assert code == 1
-        rep = json.loads(out)
-        assert rep["verdict"] == "cap-exceeded"
-        assert rep["details"]["reason"] == f"algebra has {size} elements, cap is 12"
+        refused(argv, size)
+    # every finite command on every finite path, as its algebra or as
+    # isomorphic's --other, just past the cap
+    paths = [(("chain(12)",), 13), (("gamma(Z,12)",), 13), (("gamma(lex(O,Z),(0,12))",), 13),
+             (("prod(chain(3),chain(3))",), 16)]
+    for (text,), size in paths:
+        refused(("isomorphic", "--table", str(small), "--other", text), size)
     monkeypatch.setattr(finite, "parse_table", no_build)
-    for cmd in ("states", "check-axioms"):
-        code, out = run_cli(capsys, "run", cmd, "--table", str(big))
-        assert code == 1
-        assert json.loads(out)["details"]["reason"] == "algebra has 13 elements, cap is 12"
+    for cmd in cli.FINITE_COMMANDS:
+        for path, size in paths + [(("--table", str(big)), 13)]:
+            refused((cmd, *path, "--other", "chain(1)"), size)
+    refused(("check-axioms", "--table", str(big)), 13)
 
 
 def test_cli_byte_identical_runs(capsys):
@@ -395,6 +406,27 @@ def test_cli_refuses_non_ascii_digits(capsys, argv, where, char):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"lexmv: {where}: unexpected character {char!r}\n"
+
+
+# one digit more than int() converts from a string
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["check-axioms", f"gamma(Z,{LONG})"], "1:9"),
+        (["ideals", f"chain({LONG})"], "1:7"),
+        (["check-axioms", f"gamma(Q,1/{LONG})"], "1:11"),
+    ],
+)
+def test_cli_refuses_integer_literals_too_long_to_convert(capsys, argv, where):
+    code = cli.main(["run", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"lexmv: {where}: Exceeds the limit")
+    assert captured.err.count("\n") == 1
 
 
 def test_parser_nesting_limit(capsys):

@@ -368,6 +368,87 @@ def test_library_tables_pass_the_axiom_scan():
         assert finite.check_axioms(t).ok, (str(t), t.labels)
 
 
+def test_ideal_flags_match_their_definitions():
+    """maximal: a proper ideal below no other proper ideal.  prime: a
+    proper ideal that holds J or K whenever it holds J /\\ K, for ideals
+    J and K.  Both are read off the 2^n scan of every ideal."""
+    for t in library_tables(random.Random(13)):
+        full = (1 << t.size) - 1
+        brute = brute_ideal_masks(t)
+        infos = enumerate_ideals(t, cap=t.size)
+        assert [i.mask for i in infos] == brute, str(t)
+        for info in infos:
+            m = info.mask
+            above = [j for j in brute if j != full and j != m and j & m == m]
+            assert info.maximal == (m != full and not above), (str(t), m)
+            prime = m != full and all(
+                j & ~m == 0 or k & ~m == 0 for j in brute for k in brute if j & k & ~m == 0
+            )
+            assert info.prime == prime, (str(t), m)
+
+
+# The derivations from enumerate_ideals' flags that the per-property
+# predicates replaced: every ideal with all five flags, then a filter.
+
+
+def ref_radical_suite(a):
+    full = (1 << a.size) - 1
+    rad = rad_n = full
+    for info in enumerate_ideals(a, cap=a.size):
+        if info.maximal:
+            rad &= info.mask
+            if info.normal:
+                rad_n &= info.mask
+    infinit = sum(1 << x for x in range(a.size) if is_infinitesimal(a, x))
+    return rad, rad_n, infinit
+
+
+def ref_extremal_states(a):
+    out = []
+    for info in enumerate_ideals(a, cap=a.size):
+        if not (info.maximal and info.normal):
+            continue
+        q, proj = quotient(a, info.mask)
+        order = sorted(range(q.size), key=lambda k: sum(q.le(j, k) for j in range(q.size)))
+        rank = {k: i for i, k in enumerate(order)}
+        out.append(tuple(Fraction(rank[proj[x]], q.size - 1) for x in range(a.size)))
+    return out
+
+
+def ref_is_local(a):
+    maxes = [i for i in enumerate_ideals(a, cap=a.size) if i.maximal]
+    return len(maxes) == 1 and maxes[0].normal
+
+
+def ref_lexicographic_ideals(a):
+    full = (1 << a.size) - 1
+    out = []
+    for info in enumerate_ideals(a, cap=a.size):
+        clauses = {
+            "proper": info.mask != 1 << a.zero and info.mask != full,
+            "commutative": info.commutative,
+            "strict": info.strict,
+            "prime": info.prime,
+            "retractive": info.normal and is_retractive(a, info.mask)[0],
+        }
+        out.append((all(clauses.values()), clauses))
+    return out
+
+
+def test_predicates_match_the_flag_derivations():
+    rng = random.Random(16)
+    tables = []
+    for a in finite_catalog(12):
+        tables += [a, relabel(a, rng), relabel(a, rng)]
+    tables.append(quotient(C2, (1 << C2.size) - 1)[0])  # one element, no maximal ideal
+    for a in tables:
+        assert radical_suite(a) == ref_radical_suite(a), str(a)
+        assert [s.values for s in extremal_states(a)] == ref_extremal_states(a), str(a)
+        assert is_local(a) == ref_is_local(a), str(a)
+        lex = [is_lexicographic_ideal(a, m) for m in finite.enumerate_ideal_masks(a)]
+        assert lex == ref_lexicographic_ideals(a), str(a)
+
+
 def ref_find_hom(a, b, choices):
     """finite._find_hom with its old pruning, which scans every pair of
     assigned slots for a sum that lands on the new slot."""

@@ -4,6 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from harness import hom_equal
 from lexmv import groups as gr
 from lexmv.algebra import PmvAlgebra, ord_of
 from lexmv.sampling import sample_elem
@@ -297,7 +298,7 @@ def test_functor_laws_and_extraction():
         m = lift_morphism(h, base)
         assert verify_hom(m, 300, seed=21, check_injective=False).ok, str(h)
         back = extract_morphism(m, samples=300, seed=22)
-        assert gr.hom_equal(h, back, samples=500), str(h)
+        assert hom_equal(h, back, samples=500), str(h)
     h1 = gr.scale_hom(gr.Z, 2)
     h2 = gr.scale_hom(gr.Z, 3)
     lhs = lift_morphism(gr.hom_compose(h2, h1), base)
