@@ -247,14 +247,15 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
         refused(argv, size)
     # every finite command on every finite path, as its algebra or as
     # isomorphic's --other, just past the cap
-    paths = [(("chain(12)",), 13), (("gamma(Z,12)",), 13), (("gamma(lex(O,Z),(0,12))",), 13),
-             (("prod(chain(3),chain(3))",), 16)]
-    for (text,), size in paths:
+    texts = [("chain(12)", 13), ("gamma(Z,12)", 13), ("gamma(lex(O,Z),(0,12))", 13),
+             ("prod(chain(3),chain(3))", 16)]
+    for text, size in texts:
         refused(("isomorphic", "--table", str(small), "--other", text), size)
     monkeypatch.setattr(finite, "parse_table", no_build)
     for cmd in cli.FINITE_COMMANDS:
-        for path, size in paths + [(("--table", str(big)), 13)]:
-            refused((cmd, *path, "--other", "chain(1)"), size)
+        for text, size in texts:
+            refused((cmd, text, "--other", "chain(1)"), size)
+        refused((cmd, "--table", str(big), "--other", "chain(1)"), 13)
     refused(("check-axioms", "--table", str(big)), 13)
 
 
