@@ -210,17 +210,16 @@ def _run_command(args) -> Report:
         rep = Report("retractive", "pass")
         rows = []
         full = (1 << a.size) - 1
-        for info in finite.enumerate_ideals(a, args.cap):
-            if not info.normal:
+        for mask in finite.enumerate_ideal_masks(a):
+            if not finite.is_normal(a, mask):
                 continue
-            ret, _ = finite.is_retractive(a, info.mask)
-            comp, _ = finite.has_complement(a, info.mask)
-            rows.append({"elements": a.mask_labels(info.mask),
-                         "retractive": ret, "complement": comp})
+            ret, _ = finite.is_retractive(a, mask)
+            comp, _ = finite.has_complement(a, mask)
+            rows.append({"elements": a.mask_labels(mask), "retractive": ret, "complement": comp})
             # the equivalence degenerates at I = M (one-element quotient),
             # so agreement is asserted for proper ideals only
-            if info.mask != full and ret != comp:
-                rep.fail("retractive-complement-agreement", [a.mask_labels(info.mask)])
+            if mask != full and ret != comp:
+                rep.fail("retractive-complement-agreement", [a.mask_labels(mask)])
         rep.details["ideals"] = rows
         return rep
 

@@ -9,12 +9,18 @@ Ideals and subalgebras are bitmasks over element indices.  Enumerations
 are complete but polynomial in the size: ideals as the principal ideals,
 subalgebras by closure search.  They are returned in sorted-mask order so
 reports are byte-stable.
+
+The FiniteMv methods and check_axioms are the definitions; the ideal
+predicates, generated_normal_ideal, quotient and check_rdp2 read derived
+tables (FiniteMv._tables) built from those methods once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Optional
 
 from .reports import Report
@@ -32,7 +38,8 @@ class CapExceeded(RuntimeError):
 class FiniteMv:
     """A table algebra.  The axioms are checked at construction unless
     unchecked is set, which only the library's own constructions do: their
-    tables satisfy the axioms whenever their inputs do."""
+    tables satisfy the axioms whenever their inputs do.  A pickle loads
+    through the checked constructor, without the derived tables."""
 
     size: int
     oplus: tuple  # size x size index table
@@ -49,6 +56,22 @@ class FiniteMv:
             rep = check_axioms(self)
             if not rep.ok:
                 raise TableError(f"tables violate the axioms: {rep.counterexamples}")
+
+    def __reduce__(self):
+        # a pickle is outside input: rebuild it through the axiom scan
+        return (FiniteMv, (self.size, self.oplus, self.neg, self.zero, self.one, self.labels))
+
+    @cached_property
+    def _tables(self) -> SimpleNamespace:
+        """odot, join, meet and dist[x][y] = (x (.) y-) (+) (y (.) x-) as
+        index tables, and down[y], the mask of {x : x <= y}, all built from
+        the methods below; the ideal, quotient and RDP2 scans read them."""
+        n = range(self.size)
+        ng, grid = self.neg, lambda f: tuple(tuple(f(x, y) for y in n) for x in n)
+        return SimpleNamespace(
+            odot=grid(self.odot), join=grid(self.join), meet=grid(self.meet),
+            down=tuple(sum(1 << x for x in n if self.le(x, y)) for y in n),
+            dist=grid(lambda x, y: self.oplus[self.odot(x, ng[y])][self.odot(y, ng[x])]))
 
     # -- derived operations, all index-level --------------------------------
 
@@ -203,16 +226,7 @@ def _is_ideal(a: FiniteMv, mask: int) -> bool:
     return True
 
 
-def _congruent(a: FiniteMv, mask: int, x: int, y: int) -> bool:
-    d = a.oplus[a.odot(x, a.neg[y])][a.odot(y, a.neg[x])]
-    return bool(mask >> d & 1)
-
-
-def _quot_le(a: FiniteMv, mask: int, x: int, y: int) -> bool:
-    return bool(mask >> a.odot(x, a.neg[y]) & 1)
-
-
-def _is_normal(a: FiniteMv, mask: int) -> bool:
+def is_normal(a: FiniteMv, mask: int) -> bool:
     """x (+) I = I (+) x for every x."""
     members = [i for i in range(a.size) if mask >> i & 1]
     return all(
@@ -223,23 +237,24 @@ def _is_normal(a: FiniteMv, mask: int) -> bool:
 
 def _is_prime(a: FiniteMv, mask: int) -> bool:
     """Proper, and x /\\ y in I only when x or y is."""
-    n = range(a.size)
+    n, meet = range(a.size), a._tables.meet
     return mask != (1 << a.size) - 1 and all(
-        mask >> x & 1 or mask >> y & 1 for x in n for y in n if mask >> a.meet(x, y) & 1
+        mask >> x & 1 or mask >> y & 1 for x in n for y in n if mask >> meet[x][y] & 1
     )
 
 
 def _is_commutative(a: FiniteMv, mask: int) -> bool:
-    """x (+) y and y (+) x are congruent modulo I."""
-    n = range(a.size)
-    return all(_congruent(a, mask, a.oplus[x][y], a.oplus[y][x]) for x in n for y in n)
+    """x (+) y and y (+) x are congruent modulo I: their dist is in I."""
+    n, op, dist = range(a.size), a.oplus, a._tables.dist
+    return all(mask >> dist[op[x][y]][op[y][x]] & 1 for x in n for y in n)
 
 
 def _is_strict(a: FiniteMv, mask: int) -> bool:
-    """x/I < y/I only when x < y."""
-    n = range(a.size)
-    return all(a.le(x, y) and x != y for x in n for y in n
-               if _quot_le(a, mask, x, y) and not _quot_le(a, mask, y, x))
+    """x/I < y/I only when x < y, where x/I <= y/I iff x (.) y- is in I."""
+    n, t = range(a.size), a._tables
+    qle = [[mask >> t.odot[x][a.neg[y]] & 1 for y in n] for x in n]
+    return all(t.down[y] >> x & 1 and x != y for x in n for y in n
+               if qle[x][y] and not qle[y][x])
 
 
 def _maximal_masks(a: FiniteMv, masks) -> list:
@@ -263,7 +278,7 @@ def enumerate_ideals(a: FiniteMv, cap: int = 12) -> list:
     masks = enumerate_ideal_masks(a)
     maximal = set(_maximal_masks(a, masks))
     return [
-        IdealInfo(m, _is_normal(a, m), m in maximal, _is_prime(a, m), _is_commutative(a, m),
+        IdealInfo(m, is_normal(a, m), m in maximal, _is_prime(a, m), _is_commutative(a, m),
                   _is_strict(a, m))
         for m in masks
     ]
@@ -274,15 +289,11 @@ def generated_normal_ideal(a: FiniteMv, x: int) -> int:
     because finite pseudo MV-algebras are commutative.  Computed as the
     down-set of the stabilized truncated multiple m.x: that multiple is
     (+)-idempotent, so its down-set is already closed under (+)."""
-    acc, top = a.zero, a.zero
+    acc, top, join = a.zero, a.zero, a._tables.join
     for _ in range(a.size + 1):
         acc = a.oplus[acc][x]
-        top = a.join(top, acc)
-    mask = 0
-    for y in range(a.size):
-        if a.le(y, top):
-            mask |= 1 << y
-    return mask
+        top = join[top][acc]
+    return a._tables.down[top]
 
 
 def radical_suite(a: FiniteMv) -> tuple:
@@ -291,7 +302,7 @@ def radical_suite(a: FiniteMv) -> tuple:
     rad = rad_n = (1 << a.size) - 1
     for m in _maximal_masks(a, enumerate_ideal_masks(a)):
         rad &= m
-        if _is_normal(a, m):
+        if is_normal(a, m):
             rad_n &= m
     infinit = 0
     for x in range(a.size):
@@ -322,13 +333,14 @@ def quotient(a: FiniteMv, mask: int) -> tuple:
     """(A / I, projection list); I must be a normal ideal."""
     if not _is_ideal(a, mask):
         raise TableError("not an ideal")
-    if not _is_normal(a, mask):
+    if not is_normal(a, mask):
         raise TableError("quotient needs a normal ideal")
     proj = [-1] * a.size
     reps = []
     for x in range(a.size):
+        dist = a._tables.dist[x]
         for k, r in enumerate(reps):
-            if _congruent(a, mask, x, r):
+            if mask >> dist[r] & 1:
                 proj[x] = k
                 break
         else:
@@ -404,19 +416,22 @@ def is_retractive(a: FiniteMv, mask: int) -> tuple:
     return sec is not None, sec
 
 
-def _closure(a: FiniteMv, seed_mask: int) -> int:
-    mask = seed_mask | 1 << a.zero | 1 << a.one
-    while True:
-        grown = mask
-        for i in range(a.size):
-            if mask >> i & 1:
-                grown |= 1 << a.neg[i]
-                for j in range(a.size):
-                    if mask >> j & 1:
-                        grown |= 1 << a.oplus[i][j]
-        if grown == mask:
-            return mask
-        mask = grown
+def _closure(a: FiniteMv, seed: int, closed: int = 0) -> int:
+    """The subalgebra generated by seed and closed, which must itself be a
+    subalgebra (or 0).  A worklist pairs each new element with the members,
+    so pairs inside closed are never recomputed."""
+    members = [i for i in range(a.size) if closed >> i & 1]
+    mask = seed | closed | 1 << a.zero | 1 << a.one
+    todo = [i for i in range(a.size) if (mask & ~closed) >> i & 1]
+    while todo:
+        x = todo.pop()
+        members.append(x)
+        row = a.oplus[x]
+        for z in [a.neg[x]] + [row[y] for y in members] + [a.oplus[y][x] for y in members]:
+            if not mask >> z & 1:
+                mask |= 1 << z
+                todo.append(z)
+    return mask
 
 
 def _subalgebra_masks(a: FiniteMv, avoid: int = 0) -> list:
@@ -435,7 +450,7 @@ def _subalgebra_masks(a: FiniteMv, avoid: int = 0) -> list:
         for x in range(a.size):
             if (s | avoid) >> x & 1:
                 continue
-            t = _closure(a, s | 1 << x)
+            t = _closure(a, 1 << x, s)
             if not t & avoid and t not in found:
                 found.add(t)
                 todo.append(t)
@@ -452,7 +467,7 @@ def has_complement(a: FiniteMv, mask: int) -> tuple:
     trivial = 1 << a.zero | 1 << a.one
     full = (1 << a.size) - 1
     for s in _subalgebra_masks(a, avoid=gen & ~trivial):
-        if _closure(a, s | gen) == full:
+        if _closure(a, gen, s) == full:
             return True, s
     return False, None
 
@@ -464,7 +479,7 @@ def is_lexicographic_ideal(a: FiniteMv, mask: int) -> tuple:
         "commutative": _is_commutative(a, mask),
         "strict": _is_strict(a, mask),
         "prime": _is_prime(a, mask),
-        "retractive": _is_normal(a, mask) and is_retractive(a, mask)[0],
+        "retractive": is_normal(a, mask) and is_retractive(a, mask)[0],
     }
     return all(clauses.values()), clauses
 
@@ -486,7 +501,7 @@ def extremal_states(a: FiniteMv) -> list:
     normal ideal is a finite chain, valued k/n along its order."""
     out = []
     for m in _maximal_masks(a, enumerate_ideal_masks(a)):
-        if not _is_normal(a, m):
+        if not is_normal(a, m):
             continue
         q, proj = quotient(a, m)
         order = sorted(range(q.size), key=lambda k: sum(q.le(j, k) for j in range(q.size)))
@@ -509,7 +524,7 @@ def state_is_additive(a: FiniteMv, s: FiniteState) -> bool:
 
 def is_local(a: FiniteMv) -> bool:
     maxes = _maximal_masks(a, enumerate_ideal_masks(a))
-    return len(maxes) == 1 and _is_normal(a, maxes[0])
+    return len(maxes) == 1 and is_normal(a, maxes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +536,8 @@ def check_rdp2(a: FiniteMv, cap: int = 12) -> bool:
     c11, c12, c21, c22 with c12 /\\ c21 = 0."""
     if a.size > cap:
         raise CapExceeded(f"rdp2 capped at {cap} elements, got {a.size}")
-    n = a.size
-    psum = [[a.partial_add(x, y) for y in range(n)] for x in range(n)]
+    n, op, od = a.size, a.oplus, a._tables.odot
+    psum = [[op[x][y] if od[x][y] == a.zero else None for y in range(n)] for x in range(n)]
     # sub[x][t]: all y with x + y = t
     sub = [[[] for _ in range(n)] for _ in range(n)]
     for x in range(n):
@@ -545,10 +560,11 @@ def check_rdp2(a: FiniteMv, cap: int = 12) -> bool:
 
 
 def _rdp2_cell(a: FiniteMv, sub, a1, a2, b1, b2) -> bool:
+    meet = a._tables.meet
     for c11 in range(a.size):
         for c12 in sub[c11][a1]:
             for c21 in sub[c11][b1]:
-                if a.meet(c12, c21) != a.zero:
+                if meet[c12][c21] != a.zero:
                     continue
                 if set(sub[c21][a2]) & set(sub[c12][b2]):
                     return True

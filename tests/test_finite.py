@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import random
 
 import pytest
@@ -265,6 +267,55 @@ def test_caps():
         check_rdp2(make_chain(12), cap=10)
 
 
+def test_pickles_load_through_the_checked_constructor():
+    forged = dict(size=3, oplus=((0, 1, 2), (1, 0, 2), (2, 2, 2)), neg=(2, 1, 0), zero=0, one=2)
+    with pytest.raises(TableError):
+        FiniteMv(**forged)
+    with pytest.raises(TableError):
+        pickle.loads(pickle.dumps(FiniteMv(**forged, unchecked=True)))
+    for t in (P22, quotient(P22, mask_of(P22, [0, 3, 6]))[0], parse_table(format_table(C4))):
+        tables = t._tables
+        again = pickle.loads(pickle.dumps(t))
+        assert again == t and again.labels == t.labels and not again.unchecked
+        assert "_tables" not in vars(again)  # the derived tables are not pickled
+        assert again._tables == tables and again._tables is not tables
+
+
+def small_tables(n):
+    """Every n-element table with zero 0 as the identity of (+), one n-1
+    absorbing, and neg an involution that swaps them; the other cells of
+    (+) range freely."""
+    inner, top = range(1, n - 1), n - 1
+    for cells in itertools.product(range(n), repeat=(n - 2) ** 2):
+        op = [[top if top in (x, y) else y if x == 0 else x if y == 0 else None
+               for y in range(n)] for x in range(n)]
+        free = iter(cells)
+        for x in inner:
+            for y in inner:
+                op[x][y] = next(free)
+        for swaps in itertools.product((False, True), repeat=len(inner) // 2):
+            neg = [top] + list(inner) + [0]
+            for k, swap in enumerate(swaps):
+                if swap:
+                    neg[1 + 2 * k], neg[2 + 2 * k] = neg[2 + 2 * k], neg[1 + 2 * k]
+            yield FiniteMv(n, tuple(map(tuple, op)), tuple(neg), 0, top, unchecked=True)
+
+
+def test_small_tables_that_pass_the_axiom_scan_are_commutative():
+    """No 3- or 4-element table with a non-symmetric (+) passes the scan,
+    so every ideal of those tables is normal."""
+    counts = {}
+    for n in (3, 4):
+        tables = list(small_tables(n))
+        accepted = [t for t in tables if finite.check_axioms(t).ok]
+        counts[n] = len(tables), len(accepted)
+        for t in accepted:
+            assert all(t.oplus[x][y] == t.oplus[y][x] for x in range(n) for y in range(n))
+            assert all(finite.is_normal(t, m) for m in finite.enumerate_ideal_masks(t))
+    # chain(2); chain(3) in both labelings, and chain(1)^2
+    assert counts == {3: (3, 1), 4: (512, 3)}
+
+
 # ---------------------------------------------------------------------------
 # Brute-force references: the 2^n subset scans the polynomial oracle replaced
 
@@ -371,9 +422,12 @@ def test_library_tables_pass_the_axiom_scan():
 def test_ideal_flags_match_their_definitions():
     """maximal: a proper ideal below no other proper ideal.  prime: a
     proper ideal that holds J or K whenever it holds J /\\ K, for ideals
-    J and K.  Both are read off the 2^n scan of every ideal."""
+    J and K.  Both are read off the 2^n scan of every ideal.  normal,
+    commutative and strict are decided with the FiniteMv methods alone,
+    x/I <= y/I meaning x (.) y- in I."""
     for t in library_tables(random.Random(13)):
         full = (1 << t.size) - 1
+        n, op, ng = range(t.size), t.oplus, t.neg
         brute = brute_ideal_masks(t)
         infos = enumerate_ideals(t, cap=t.size)
         assert [i.mask for i in infos] == brute, str(t)
@@ -385,6 +439,120 @@ def test_ideal_flags_match_their_definitions():
                 j & ~m == 0 or k & ~m == 0 for j in brute for k in brute if j & k & ~m == 0
             )
             assert info.prime == prime, (str(t), m)
+            ideal = [i for i in n if m >> i & 1]
+            normal = all(any(op[x][i] == op[j][x] for j in ideal) and
+                         any(op[i][x] == op[x][j] for j in ideal) for x in n for i in ideal)
+            assert info.normal == normal, (str(t), m)
+            qle = lambda x, y: m >> t.odot(x, ng[y]) & 1
+            sim = lambda x, y: qle(x, y) and qle(y, x)
+            assert info.commutative == all(sim(op[x][y], op[y][x]) for x in n for y in n), (str(t), m)
+            strict = all(t.le(x, y) and x != y for x in n for y in n if qle(x, y) and not qle(y, x))
+            assert info.strict == strict, (str(t), m)
+
+
+# References for the scans that read FiniteMv._tables: the same results
+# from the FiniteMv methods alone, and the fixed-point closure.
+
+
+def ref_closure(a, seed_mask):
+    mask = seed_mask | 1 << a.zero | 1 << a.one
+    while True:
+        grown = mask
+        for i in range(a.size):
+            if mask >> i & 1:
+                grown |= 1 << a.neg[i]
+                for j in range(a.size):
+                    if mask >> j & 1:
+                        grown |= 1 << a.oplus[i][j]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def ref_subalgebra_masks(a, avoid=0):
+    start = ref_closure(a, 0)
+    if start & avoid:
+        return []
+    found, todo = {start}, [start]
+    while todo:
+        s = todo.pop()
+        for x in range(a.size):
+            if not (s | avoid) >> x & 1:
+                t = ref_closure(a, s | 1 << x)
+                if not t & avoid and t not in found:
+                    found.add(t)
+                    todo.append(t)
+    return sorted(found)
+
+
+def ref_generated_normal_ideal(a, x):
+    acc = top = a.zero
+    for _ in range(a.size + 1):
+        acc = a.oplus[acc][x]
+        top = a.join(top, acc)
+    return sum(1 << y for y in range(a.size) if a.le(y, top))
+
+
+def ref_has_complement(a, mask):
+    gen = mask
+    for i in range(a.size):
+        if mask >> i & 1:
+            gen |= ref_generated_normal_ideal(a, i)
+    trivial = 1 << a.zero | 1 << a.one
+    for s in ref_subalgebra_masks(a, avoid=gen & ~trivial):
+        if ref_closure(a, s | gen) == (1 << a.size) - 1:
+            return True, s
+    return False, None
+
+
+def ref_projection(a, mask):
+    """Each element's class, numbered by first appearance, where x and y
+    share a class when (x (.) y-) (+) (y (.) x-) is in the ideal."""
+    reps, proj = [], []
+    for x in range(a.size):
+        d = [a.oplus[a.odot(x, a.neg[r])][a.odot(r, a.neg[x])] for r in reps]
+        k = next((k for k, dk in enumerate(d) if mask >> dk & 1), len(reps))
+        reps += [x] if k == len(reps) else []
+        proj.append(k)
+    return tuple(proj)
+
+
+def ref_check_rdp2(a):
+    """check_rdp2's search, with partial_add and meet called per cell."""
+    n = range(a.size)
+    sub = [[[] for _ in n] for _ in n]  # sub[x][t]: every y with x + y = t
+    pairs = {}
+    for x in n:
+        for y in n:
+            t = a.partial_add(x, y)
+            if t is not None:
+                sub[x][t].append(y)
+                pairs.setdefault(t, []).append((x, y))
+    return all(
+        any(a.meet(c12, c21) == a.zero and set(sub[c21][a2]) & set(sub[c12][b2])
+            for c11 in n for c12 in sub[c11][a1] for c21 in sub[c11][b1])
+        for ps in pairs.values() for a1, a2 in ps for b1, b2 in ps)
+
+
+@pytest.mark.parametrize("seed", [17, 18])
+def test_closures_match_the_fixed_point(seed):
+    for t in library_tables(random.Random(seed)):
+        subs = finite._subalgebra_masks(t)
+        assert subs == ref_subalgebra_masks(t), str(t)
+        for s in subs:
+            assert finite._closure(t, 0, s) == s
+        for m in finite.enumerate_ideal_masks(t):
+            assert has_complement(t, m) == ref_has_complement(t, m), (str(t), m)
+
+
+@pytest.mark.parametrize("seed", [17, 18])
+def test_table_scans_match_the_methods(seed):
+    for t in library_tables(random.Random(seed)):
+        assert [generated_normal_ideal(t, x) for x in range(t.size)] == [
+            ref_generated_normal_ideal(t, x) for x in range(t.size)], str(t)
+        for m in finite.enumerate_ideal_masks(t):
+            assert quotient(t, m)[1] == ref_projection(t, m), (str(t), m)
+        assert check_rdp2(t) == ref_check_rdp2(t), str(t)
 
 
 # The derivations from enumerate_ideals' flags that the per-property
