@@ -402,9 +402,9 @@ def _find_hom(a: FiniteMv, b: FiniteMv, choices) -> Optional[tuple]:
             f[x], used[y] = -1, False
         return False
 
-    if consistent(a.zero) and consistent(a.one) and search(0):
-        return tuple(f)
-    return None
+    found = consistent(a.zero) and consistent(a.one) and search(0)
+    del search  # it holds itself through its closure: free the search now, not at a collection
+    return tuple(f) if found else None
 
 
 def is_retractive(a: FiniteMv, mask: int) -> tuple:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import pickle
 import random
@@ -235,6 +236,19 @@ def test_rdp2():
     for n in range(1, 7):
         assert check_rdp2(make_chain(n))
     assert check_rdp2(P22)
+
+
+def test_hom_searches_leave_no_cyclic_garbage():
+    """A search's closures are freed when it returns, not by the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_retractive(P22, mask_of(P22, [0, 3, 6]))[0]
+        assert brute_isomorphic(C4, make_chain(4))[0]
+        assert not brute_isomorphic(make_chain(3), make_product(make_chain(1), make_chain(1)))[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_brute_isomorphic():
