@@ -453,8 +453,10 @@ def test_ideal_flags_match_their_definitions():
             assert info.normal == normal, (str(t), m)
             qle = lambda x, y: m >> t.odot(x, ng[y]) & 1
             sim = lambda x, y: qle(x, y) and qle(y, x)
-            assert info.commutative == all(sim(op[x][y], op[y][x]) for x in n for y in n), (str(t), m)
-            strict = all(t.le(x, y) and x != y for x in n for y in n if qle(x, y) and not qle(y, x))
+            commutative = all(sim(op[x][y], op[y][x]) for x in n for y in n)
+            assert info.commutative == commutative, (str(t), m)
+            strict = all(t.le(x, y) and x != y
+                         for x in n for y in n if qle(x, y) and not qle(y, x))
             assert info.strict == strict, (str(t), m)
 
 
