@@ -141,6 +141,14 @@ CASES = [
     ["check-axioms", "chain(2) chain(3)", *S],
     ["check-axioms", "gamma(Q,\r\n\t1/)", *S],
     ["check-axioms", "gamma(Z," + "(" * 100 + "1" + ",0)" * 100 + ")", *S],
+    # error precedence: which of two faults in one call is reported
+    ["classify", "gamma(lex(Z,Z),(2,-1))", *S],
+    ["classify", "gamma(lex(Z,Z),(2,1))", "--kind", "strong", "--elem", "(9,0)", *S],
+    ["classify", "gamma(Z,3)", "--elem", "1", *S],
+    ["lexify", "gamma(lex(Z,Z),(2,1))", "--kind", "strong", *S],
+    ["ideals", "chain(3)", "--elem", "1", "--other", "chain(2)", "--kind", "weak", *S],
+    ["isomorphic", "chain(20)", *S],
+    ["witness", "prod(chain(1),chain(1))", *S],
 ]
 
 
