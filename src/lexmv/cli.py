@@ -5,11 +5,20 @@ Exit codes: 0 the check passed, 1 a property violation, a vacuous run
 Reports serialize as canonical JSON (sorted keys, LF endings, rationals
 as "p/q" strings) and are byte-identical for identical inputs and seed;
 timing is opt-in via --with-timing.
+
+The argparse parser is built once per process, on the first call of
+main.  _run_command has one path per command family: check-axioms; the
+three lex commands, which share one LexAlgebra and one canonical
+witness; and the seven finite commands, which share one finite table and
+one Report.  A --table file is read as UTF-8 and holds the DSL's
+integers; other bytes or tokens are a TableError, so exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
 import time
 
@@ -46,6 +55,7 @@ class UsageError(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lexmv")
     sub = ap.add_subparsers(dest="mode", required=True)
@@ -92,8 +102,11 @@ def _load(args) -> object:
     if args.table:
         if args.command in LEX_COMMANDS:
             raise UsageError(_NEEDS_LEX)
-        with open(args.table) as fh:
-            text = fh.read()
+        try:
+            with open(args.table, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise finite.TableError(f"table is not UTF-8: {exc}") from None
         _check_cap(finite.table_size(text), args.cap)
         return finite.parse_table(text)
     if args.dsl is None:
@@ -101,21 +114,17 @@ def _load(args) -> object:
     return _build(args.dsl, args.command, args.cap)
 
 
-def _default_kind(args, la: LexAlgebra) -> str:
-    if args.kind:
-        return args.kind
-    return "strong" if la.strong_form else "weak"
+def _witness(args, la: LexAlgebra) -> tuple:
+    """(kind, canonical witness): --kind, else strong exactly when la's
+    unit has the strong form."""
+    kind = args.kind or ("strong" if la.strong_form else "weak")
+    return kind, canonical_witness(la, kind)
 
 
 def _mask_entry(a: FiniteMv, info: finite.IdealInfo) -> dict:
-    return {
-        "elements": a.mask_labels(info.mask),
-        "normal": info.normal,
-        "maximal": info.maximal,
-        "prime": info.prime,
-        "commutative": info.commutative,
-        "strict": info.strict,
-    }
+    entry = dataclasses.asdict(info)
+    entry["elements"] = a.mask_labels(entry.pop("mask"))
+    return entry
 
 
 def _check_flags(args) -> None:
@@ -135,79 +144,59 @@ def _run_command(args) -> Report:
             return finite.check_axioms(alg)
         return axiom_report(alg, args.samples, args.seed, args.bound)
 
-    if cmd == "classify":
+    if cmd in LEX_COMMANDS:
         la = LexAlgebra.from_algebra(alg)
-        if args.elem is None:
-            raise UsageError("classify needs --elem")
-        value = dsl.build_elem(la.spec, dsl.parse_elem(args.elem))
-        w = canonical_witness(la, _default_kind(args, la))
-        try:
-            elem = la.algebra.elem(value)
-        except IntervalError as exc:
-            raise UsageError(f"--elem {exc}") from None
-        t = classify(w, elem)
-        rep = Report("classify", "pass", seed=args.seed)
-        rep.details["element"] = la.spec.ops.fmt(value)
-        rep.details["slice"] = la.base.spec.ops.fmt(t)
-        return rep
-
-    if cmd == "witness":
-        la = LexAlgebra.from_algebra(alg)
-        kind = _default_kind(args, la)
-        w = canonical_witness(la, kind)
-        dec = check_decomposition(w, args.samples, args.seed, args.bound)
-        cyc = check_cyclic(w, args.samples, args.seed, args.bound)
-        rep = Report("witness", "pass", seed=args.seed, samples=args.samples).merge(dec).merge(cyc)
-        rep.details = {"kind": kind, "decomposition": dec.verdict, "cyclic": cyc.verdict,
-                       "algebra": str(la.algebra)}
-        return rep
-
-    if cmd == "lexify":
-        la = LexAlgebra.from_algebra(alg)
-        kind = _default_kind(args, la)
-        w = canonical_witness(la, kind)
+        if cmd == "classify":
+            if args.elem is None:
+                raise UsageError("classify needs --elem")
+            value = dsl.build_elem(la.spec, dsl.parse_elem(args.elem))
+            w = _witness(args, la)[1]
+            try:
+                elem = la.algebra.elem(value)
+            except IntervalError as exc:
+                raise UsageError(f"--elem {exc}") from None
+            rep = Report(cmd, "pass", seed=args.seed)
+            rep.details["element"] = la.spec.ops.fmt(value)
+            rep.details["slice"] = la.base.spec.ops.fmt(classify(w, elem))
+            return rep
+        kind, w = _witness(args, la)
+        if cmd == "witness":
+            dec = check_decomposition(w, args.samples, args.seed, args.bound)
+            cyc = check_cyclic(w, args.samples, args.seed, args.bound)
+            rep = Report(cmd, "pass", seed=args.seed, samples=args.samples).merge(dec).merge(cyc)
+            rep.details = {"kind": kind, "decomposition": dec.verdict, "cyclic": cyc.verdict,
+                           "algebra": str(la.algebra)}
+            return rep
         phi = build_phi(w)
         rep = verify_hom(phi, args.samples, args.seed, args.bound)
-        rep.command = "lexify"
-        b = phi.target.unit[1]
-        rep.details["b"] = la.spec.ops.fmt((la.base.spec.ops.zero, b))
+        rep.command = cmd
+        rep.details["b"] = la.spec.ops.fmt((la.base.spec.ops.zero, phi.target.unit[1]))
         rep.details["kind"] = kind
         rep.details["target"] = str(phi.target)
         return rep
 
     a = dsl.as_finite(alg)
-
+    rep = Report(cmd, "pass")
     if cmd == "ideals":
         infos = finite.enumerate_ideals(a, args.cap)
-        rep = Report("ideals", "pass")
         rep.details["count"] = len(infos)
         rep.details["ideals"] = [_mask_entry(a, i) for i in infos]
-        return rep
-
-    if cmd == "radical":
+    elif cmd == "radical":
         rad, rad_n, infinit = finite.radical_suite(a)
-        rep = Report("radical", "pass")
         rep.details["rad"] = a.mask_labels(rad)
         rep.details["rad_n"] = a.mask_labels(rad_n)
         rep.details["infinit"] = a.mask_labels(infinit)
         if not (rad & ~infinit == 0 and infinit & ~rad_n == 0):
             rep.fail("radical-chain", [rep.details["rad"], rep.details["infinit"]])
-        return rep
-
-    if cmd == "states":
+    elif cmd == "states":
         states = finite.extremal_states(a)
-        rep = Report("states", "pass")
+        rows = [{a.label(x): str(s(x)) for x in range(a.size)} for s in states]
         rep.details["count"] = len(states)
-        rep.details["states"] = [
-            {a.label(x): str(s(x)) for x in range(a.size)} for s in states
-        ]
-        for s in states:
+        rep.details["states"] = rows
+        for s, row in zip(states, rows):
             if not finite.state_is_additive(a, s):
-                rep.fail("state-additivity", [rep.details["states"][states.index(s)]])
-        return rep
-
-    if cmd == "retractive":
-        rep = Report("retractive", "pass")
+                rep.fail("state-additivity", [row])
+    elif cmd == "retractive":
         rows = []
         full = (1 << a.size) - 1
         for mask in finite.enumerate_ideal_masks(a):
@@ -221,44 +210,32 @@ def _run_command(args) -> Report:
             if mask != full and ret != comp:
                 rep.fail("retractive-complement-agreement", [a.mask_labels(mask)])
         rep.details["ideals"] = rows
-        return rep
-
-    if cmd == "lexid":
-        rep = Report("lexid", "pass")
+    elif cmd == "lexid":
         rows = []
         for mask in finite.enumerate_ideal_masks(a):
             ok, clauses = finite.is_lexicographic_ideal(a, mask)
             rows.append({"elements": a.mask_labels(mask), "lexicographic": ok, "clauses": clauses})
         rep.details["exists"] = any(row["lexicographic"] for row in rows)
         rep.details["ideals"] = rows
-        return rep
-
-    if cmd == "rdp2":
-        rep = Report("rdp2", "pass")
+    elif cmd == "rdp2":
         if not finite.check_rdp2(a, args.cap):
             rep.fail("rdp2", [str(a)])
-        return rep
-
-    if cmd == "isomorphic":
+    else:  # isomorphic
         if args.other is None:
             raise UsageError("isomorphic needs --other with a second algebra")
         b = dsl.as_finite(_build(args.other, cmd, args.cap))
         ok, bij = finite.brute_isomorphic(a, b)
-        rep = Report("isomorphic", "pass" if ok else "fail")
         rep.details["sizes"] = [a.size, b.size]
         if ok:
             rep.details["bijection"] = {a.label(x): b.label(bij[x]) for x in range(a.size)}
         else:
             rep.fail("no-isomorphism", [str(a), str(b)])
-        return rep
-
-    raise UsageError(f"unknown command {cmd!r}")  # pragma: no cover
+    return rep
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     t0 = time.perf_counter()

@@ -17,6 +17,7 @@ tables (FiniteMv._tables) built from those methods once, on first use.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -601,14 +602,20 @@ def format_table(a: FiniteMv) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The DSL's integers, -?[0-9]+ in ASCII digits, separated by any whitespace
+_TABLE_TEXT = re.compile(r"\s*(?:-?[0-9]+\s+)*(?:-?[0-9]+)?")
+
+
 def _table_ints(text: str) -> list:
+    if not _TABLE_TEXT.fullmatch(text):
+        raise TableError("a table holds only integers -?[0-9]+ separated by whitespace")
     toks = text.split()
     if not toks:
         raise TableError("empty table")
     try:
         vals = [int(t) for t in toks]
-    except ValueError as exc:
-        raise TableError(f"non-integer token in table: {exc}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise TableError(f"table integer too long: {exc}") from None
     m = vals[0]
     need = 1 + m * m + m + 2
     if m < 1 or len(vals) != need:

@@ -1,6 +1,10 @@
+import argparse
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -321,6 +325,61 @@ def test_cli_table_input(tmp_path, capsys):
     assert rep["details"]["count"] == 2
     code, _ = run_cli(capsys, "run", "states", "--table", str(tmp_path / "absent.tbl"))
     assert code == 2
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe3\n",  # not UTF-8
+    "1\n\u0660\n\u0660\n0 0\n".encode(),  # an Arabic-Indic zero
+    b"2\n0 +1\n1 1\n1 0\n0 1\n",
+    b"1\n0_0\n0\n0 0\n",
+], ids=["not-utf8", "arabic-indic-digit", "plus-sign", "underscore"])
+def test_cli_table_tokens_are_ascii_integers(tmp_path, capsys, data):
+    path = tmp_path / "alg.tbl"
+    path.write_bytes(data)
+    code = cli.main(["run", "states", "--table", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("lexmv: ") and err.count("\n") == 1
+    # the same table spelled with ASCII digits and Unicode spaces is read
+    path.write_text("1\u2003\n0\n0\u00a0\n0 0\n", encoding="utf-8")
+    assert run_cli(capsys, "run", "states", "--table", str(path))[0] == 0
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    cli.main(["run", "check-axioms", "gamma(Z,2)", "--samples", "1"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (
+        ("check-axioms", "gamma(Z,3)", "--samples", "5"),
+        ("ideals", "chain(3)"),
+        ("witness", "gamma(lex(Z,Z),(2,1))", "--samples", "5"),
+        ("nonsense", "chain(1)"),
+        ("check-axioms", "gamma(Z"),
+    ):
+        cli.main(["run", *argv])
+    capsys.readouterr()
+    assert built == []
+
+
+def test_cli_as_a_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "lexmv.cli", "run", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = run("check-axioms", "gamma(Z,3)", "--samples", "5")
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["verdict"] == "pass"
+    done = run("nonsense", "chain(1)")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage:")
 
 
 def test_cli_classify(capsys):
