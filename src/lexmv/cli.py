@@ -6,12 +6,9 @@ Reports serialize as canonical JSON (sorted keys, LF endings, rationals
 as "p/q" strings) and are byte-identical for identical inputs and seed;
 timing is opt-in via --with-timing.
 
-The argparse parser is built once per process, on the first call of
-main.  _run_command has one path per command family: check-axioms; the
-three lex commands, which share one LexAlgebra and one canonical
-witness; and the seven finite commands, which share one finite table and
-one Report.  A --table file is read as UTF-8 and holds the DSL's
-integers; other bytes or tokens are a TableError, so exit 2.
+The parser is built once per process, on the first call of main.  The
+lex commands share one LexAlgebra and witness path, the finite commands
+one table and Report.  A --table file must be UTF-8 (else exit 2).
 """
 
 from __future__ import annotations
