@@ -149,6 +149,12 @@ CASES = [
     ["ideals", "chain(3)", "--elem", "1", "--other", "chain(2)", "--kind", "weak", *S],
     ["isomorphic", "chain(20)", *S],
     ["witness", "prod(chain(1),chain(1))", *S],
+    # finiteness: the first non-finite factor, true columns, no table past the cap
+    ["ideals", "prod(gamma(Q,1),gamma(Z,0))", *S],
+    ["ideals", "  gamma(Q,1)", *S],
+    ["isomorphic", "chain(1)", "--other", " gamma(Q,1)", *S],
+    ["ideals", "prod(chain(200),gamma(Q,1))", *S],
+    ["check-axioms", "prod(prod(gamma(Q,1),chain(1)),gamma(Z,0))", *S],
 ]
 
 
