@@ -24,6 +24,7 @@ from .algebra import IntervalError
 from .axioms import axiom_report
 from .finite import CapExceeded, FiniteMv
 from .reports import Report, canonical_json
+from .sampling import DEFAULT_BOUND
 from .witnesses import (
     LexAlgebra,
     WitnessError,
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("dsl", nargs="?", help="algebra expression")
     run.add_argument("--samples", type=int, default=1000)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--bound", type=int, default=25)
+    run.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     run.add_argument("--cap", type=int, default=12, help="finite exhaustive size cap")
     run.add_argument("--json", dest="json_path", help="also write the report here")
     run.add_argument("--table", help="finite algebra table file")
@@ -72,8 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_cap(size, cap: int) -> None:
-    if size is not None and size > cap:
+def _check_cap(size: int, cap: int) -> None:
+    if size > cap:
         raise CapExceeded(f"algebra has {size} elements, cap is {cap}")
 
 
@@ -81,11 +82,11 @@ _NEEDS_LEX = "this command needs a gamma(lex(...),...) algebra"
 
 
 def _build(text: str, cmd: str, cap: int) -> object:
-    """Parse and build an algebra expression for cmd.  Before any build,
-    the lex commands refuse a chain or prod, and the size of a chain or
-    prod (for the finite commands also of a gamma that is a chain) is
-    checked against the cap.  Any other expression is built, so its own
-    errors are reported."""
+    """Parse and build an algebra expression for cmd.  Before any table
+    is built, the lex commands refuse a chain or prod, and the size of a
+    chain or prod (for the finite commands also of a gamma) is checked
+    against the cap; finite_size refuses an expression that is not a
+    finite algebra."""
     node = dsl.parse(text)
     table = not isinstance(node, dsl.GammaNode)
     if table and cmd in LEX_COMMANDS:

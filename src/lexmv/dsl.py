@@ -322,57 +322,42 @@ def build_algebra(node: Node):
     if isinstance(node, ChainNode):
         return make_chain(node.n)
     if isinstance(node, ProdNode):
-        left = build_algebra(node.left)
-        right = build_algebra(node.right)
-        left = as_finite(left, node.left.span)
-        right = as_finite(right, node.right.span)
+        left = as_finite(build_algebra(node.left), node.left.span)
+        right = as_finite(build_algebra(node.right), node.right.span)
         return make_product(left, right)
     raise TypeError(f"not an algebra node: {node!r}")
 
 
-def _chain_unit(spec: GroupSpec, unit) -> Optional[int]:
-    """n when Gamma(spec, unit) is the chain Gamma(Z, n): spec is Z once
-    every trivial lex factor is dropped (with its coordinate of the unit),
-    and n >= 1.  None otherwise."""
-    while spec.kind == "lex":
-        if spec.left.ops.trivial:
-            spec, unit = spec.right, unit[1]
-        elif spec.right.ops.trivial:
-            spec, unit = spec.left, unit[0]
-        else:
-            return None
-    return unit if spec == gr.Z and unit >= 1 else None
+def _chain_n(alg, span) -> int:
+    """n when alg is the chain Gamma(Z, n): its group is Z once every
+    trivial lex factor is dropped, with its coordinate of the unit.
+    Otherwise the "not a finite algebra" SemanticError at span."""
+    if isinstance(alg, PmvAlgebra):
+        spec, unit = alg.spec, alg.unit
+        while spec.kind == "lex" and (spec.left.ops.trivial or spec.right.ops.trivial):
+            i = 1 if spec.left.ops.trivial else 0
+            spec, unit = (spec.left, spec.right)[i], unit[i]
+        if spec == gr.Z:
+            return unit
+    raise SemanticError(f"{alg} is not a finite algebra", *span)
 
 
-def finite_size(node: Node) -> Optional[int]:
-    """The element count of the finite table an algebra node builds, read
-    off the AST without building the algebra: chain(n) and a gamma that
-    as_finite realizes as chain(n) have n+1 elements, and prod multiplies.
-    None when the node does not describe a valid finite algebra."""
+def finite_size(node: Node) -> int:
+    """The element count of the table an algebra node describes, with no
+    table built: chain(n) has n+1 elements, prod multiplies, and a gamma
+    is built as an interval algebra and measured.  A node that is not a
+    finite algebra raises the error its build would, in source order."""
     if isinstance(node, ChainNode):
         return node.n + 1
-    if isinstance(node, GammaNode):
-        try:
-            spec = build_group(node.group)
-            n = _chain_unit(spec, build_elem(spec, node.unit))
-        except SemanticError:
-            return None
-        return None if n is None else n + 1
     if isinstance(node, ProdNode):
-        left, right = finite_size(node.left), finite_size(node.right)
-        if left is None or right is None:
-            return None
-        return left * right
-    return None
+        return finite_size(node.left) * finite_size(node.right)
+    return _chain_n(build_algebra(node), node.span) + 1
 
 
 def as_finite(alg, span=(1, 1)) -> FiniteMv:
     """Realize an algebra as a table.  The finite intervals are those of Z
-    up to trivial lex factors: Gamma(lex(O,Z),(0,n)) is chain(n) too."""
+    up to trivial lex factors: Gamma(lex(O,Z),(0,n)) is chain(n) too.
+    Any other algebra raises "is not a finite algebra" at span."""
     if isinstance(alg, FiniteMv):
         return alg
-    if isinstance(alg, PmvAlgebra):
-        n = _chain_unit(alg.spec, alg.unit)
-        if n is not None:
-            return make_chain(n)
-    raise SemanticError(f"{alg} is not a finite algebra", *span)
+    return make_chain(_chain_n(alg, span))

@@ -459,6 +459,7 @@ def _compile(spec: GroupSpec) -> GroupOps:
     t_meet, t_join = tail.meet, tail.join
     h_fmt, t_fmt, h_sample, t_sample = head.fmt, tail.fmt, head.sample, tail.sample
     h_zero = head.zero
+    name = str(spec)  # the message's name, not spec: spec.ops holds this record
 
     def shape_ok(v) -> bool:
         return isinstance(v, tuple) and len(v) == 2 and h_ok(v[0]) and t_ok(v[1])
@@ -501,7 +502,7 @@ def _compile(spec: GroupSpec) -> GroupOps:
         elif head.trivial:
             tail.check_unit(u[1])
         else:
-            raise ValueError(f"strong unit of {spec} needs a positive head, got {fmt(u)}")
+            raise ValueError(f"strong unit of {name} needs a positive head, got {fmt(u)}")
 
     def ord_(v, u):
         # the head decides (head 0 -> infinity, or the tail's ord when the

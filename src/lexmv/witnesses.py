@@ -616,7 +616,7 @@ def _infer_hom(src: GroupSpec, tgt: GroupSpec, fn, samples: int, seed: int):
         if h1 is not None and h2 is not None:
             try_add(lambda: gr.pairwise_hom(h1, h2))
     rng = random.Random(seed)
-    probes = [src.ops.sample(rng, 25) for _ in range(samples)]
+    probes = [src.ops.sample(rng, DEFAULT_BOUND) for _ in range(samples)]
     for cand in candidates:
         if all(fn(p) == cand._raw_apply(p) for p in probes):
             return cand

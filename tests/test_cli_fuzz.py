@@ -3,7 +3,9 @@
 Either a JSON report on stdout with exit code 0 or 1 and nothing on
 stderr, or exit code 2 with nothing on stdout and one ``lexmv: ...`` line
 (or argparse's usage text) on stderr.  The calls are drawn from valid and
-malformed DSL, flag combinations and ``--table`` files of random bytes.
+malformed DSL, flag combinations, ``--table`` files of random bytes and
+``--json`` paths: a writable file, which then holds exactly stdout's
+bytes, or a directory, which cannot be written.
 Uses the ``hypothesis`` test extra.  The search is derandomized, and
 --samples, --cap and chain sizes are bounded, so the test is
 deterministic and quick.
@@ -115,18 +117,32 @@ def call(argv):
     command_text=command_and_text(),
     options=flags,
     table=st.one_of(st.none(), st.none(), tables),
+    json_to=st.sampled_from([None, None, "file", "dir"]),
 )
-@example(command_text=("states", None), options={}, table=b"\xff")
-def test_cli_ends_in_a_report_or_one_line(tmp_path_factory, command_text, options, table):
+@example(command_text=("states", None), options={}, table=b"\xff", json_to=None)
+@example(command_text=("ideals", "chain(3)"), options={}, table=None, json_to="file")
+@example(command_text=("isomorphic", "chain(2)"), options={"--other": "chain(3)"}, table=None,
+         json_to="file")
+@example(command_text=("lexify", LEX[0]), options={"--samples": "5"}, table=None, json_to="dir")
+def test_cli_ends_in_a_report_or_one_line(tmp_path_factory, command_text, options, table,
+                                          json_to):
     command, text = command_text
     argv = ["run", command] + ([text] if text is not None else [])
     for flag, value in options.items():
         argv += [flag] if value is None else [flag, value]
+    base = tmp_path_factory.getbasetemp()
     if table is not None:
-        path = tmp_path_factory.getbasetemp() / "in.tbl"
+        path = base / "in.tbl"
         path.write_bytes(table)
         argv += ["--table", str(path)]
+    report = base / "out.json"
+    report.unlink(missing_ok=True)
+    if json_to is not None:
+        argv += ["--json", str(report if json_to == "file" else base)]
     code, out, err = call(argv)
+    if json_to == "dir" and "Is a directory" not in err:
+        # the call fails for another reason before it opens the path
+        assert (code, out, err) == call(argv[:-2]) and code == 2
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
     if code == 2:
@@ -136,3 +152,7 @@ def test_cli_ends_in_a_report_or_one_line(tmp_path_factory, command_text, option
     else:
         assert err == ""
         json.loads(out)
+        if json_to == "file":
+            assert report.read_bytes() == out.encode()
+    if json_to == "dir":
+        assert code == 2 and out == ""

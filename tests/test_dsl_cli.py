@@ -131,9 +131,12 @@ def test_as_finite_drops_trivial_factors():
     assert dsl.finite_size(parse("prod(gamma(lex(O,Z),(0,2)),chain(1))")) == 6
     # no chain: a trivial group alone, a nontrivial pair, a non-Z residue
     # and an invalid literal
-    for text in ("gamma(O,0)", "gamma(lex(Z,Z),(1,0))", "gamma(lex(O,Q),(0,3))",
-                 "gamma(lex(O,Z),(1,3))"):
-        assert dsl.finite_size(parse(text)) is None, text
+    for text, message in (("gamma(O,0)", "is not a finite algebra"),
+                          ("gamma(lex(Z,Z),(1,0))", "is not a finite algebra"),
+                          ("gamma(lex(O,Q),(0,3))", "is not a finite algebra"),
+                          ("gamma(lex(O,Z),(1,3))", "the trivial group has only 0")):
+        with pytest.raises(SemanticError, match=message):
+            dsl.finite_size(parse(text))
     for text in ("gamma(O,0)", "gamma(lex(O,Q),(0,3))"):
         with pytest.raises(SemanticError, match="is not a finite algebra"):
             as_finite(build_algebra(parse(text)))
@@ -218,17 +221,16 @@ def test_cli_cap_exceeded(capsys):
 
 
 def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
-    # sizes the expression does not determine still reach the build and
-    # its own error
-    code, _ = run_cli(capsys, "run", "ideals", "prod(chain(2),gamma(Q,1))")
-    assert code == 2
+    # every expression is sized, or refused as not finite, before any
+    # table is built: make_chain and make_product raise below
     small = tmp_path / "small.tbl"
     small.write_text(finite.format_table(finite.make_chain(2)))
     big = tmp_path / "big.tbl"
     big.write_text(finite.format_table(finite.make_chain(12)))
+    chain1 = finite.make_chain(1)
 
     def no_build(*args):
-        raise AssertionError("a table was built past the cap")
+        raise AssertionError("a table was built")
 
     def refused(argv, size):
         code, out = run_cli(capsys, "run", *argv)
@@ -236,6 +238,11 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
         rep = json.loads(out)
         assert rep["verdict"] == "cap-exceeded", argv
         assert rep["details"]["reason"] == f"algebra has {size} elements, cap is 12", argv
+
+    def not_finite(argv, message):
+        code = cli.main(["run", *argv])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"lexmv: {message}\n"), argv
 
     for name in ("make_chain", "make_product"):
         monkeypatch.setattr(finite, name, no_build)
@@ -249,6 +256,16 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
         (("check-axioms", "prod(chain(200),chain(1))"), 402),
     ]:
         refused(argv, size)
+    # a finite factor beside one that is not finite: the error, no table
+    not_finite_q = "1:18: gamma(Q,1) is not a finite algebra"
+    for cmd in cli.FINITE_COMMANDS + ("check-axioms",):
+        not_finite((cmd, "prod(chain(2000),gamma(Q,1))", "--other", "chain(1)"), not_finite_q)
+    not_finite(("check-axioms", "prod(gamma(Z,2000),gamma(lex(Z,Z),(1,0)))"),
+               "1:20: gamma(lex(Z,Z),(1,0)) is not a finite algebra")
+    # isomorphic builds its first algebra, chain(1), before it reads --other
+    monkeypatch.setattr(dsl, "make_chain", lambda n: chain1 if n == 1 else no_build())
+    not_finite(("isomorphic", "chain(1)", "--other", "prod(chain(2000),gamma(Q,1))"), not_finite_q)
+    monkeypatch.setattr(dsl, "make_chain", no_build)
     # every finite command on every finite path, as its algebra or as
     # isomorphic's --other, just past the cap
     texts = [("chain(12)", 13), ("gamma(Z,12)", 13), ("gamma(lex(O,Z),(0,12))", 13),

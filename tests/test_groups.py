@@ -1,6 +1,7 @@
 import ast
 import copy
 import functools
+import gc
 import math
 import pickle
 import random
@@ -158,6 +159,21 @@ def test_strong_units():
     with pytest.raises(ValueError):
         gr.UnitalGroup(ZZ, (0, 5))  # head zero over a nontrivial head group
     gr.UnitalGroup(gr.lex(gr.lex(gr.O, gr.O), gr.Z), ((0, 0), 2))  # a trivial head
+
+
+def test_dropped_lex_spec_is_freed_by_reference_counting():
+    # a lex record's closures do not refer to their spec, so a spec and
+    # its cached ops form no cycle that only the collector could free
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            spec = gr.lex(gr.Z, gr.lex(gr.Q, gr.Z))
+            spec.ops
+            del spec
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nmul():
