@@ -330,8 +330,8 @@ def build_algebra(node: Node):
 
 def _chain_n(alg, span) -> int:
     """n when alg is the chain Gamma(Z, n): its group is Z once every
-    trivial lex factor is dropped, with its coordinate of the unit.
-    Otherwise the "not a finite algebra" SemanticError at span."""
+    trivial lex factor is dropped, with its coordinate of the strong
+    unit, so n >= 1.  Otherwise "is not a finite algebra" at span."""
     if isinstance(alg, PmvAlgebra):
         spec, unit = alg.spec, alg.unit
         while spec.kind == "lex" and (spec.left.ops.trivial or spec.right.ops.trivial):

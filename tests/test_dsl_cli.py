@@ -223,6 +223,8 @@ def test_cli_cap_exceeded(capsys):
 def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
     # every expression is sized, or refused as not finite, before any
     # table is built: make_chain and make_product raise below
+    code, _ = run_cli(capsys, "run", "ideals", "prod(chain(2),gamma(Q,1))")
+    assert code == 2
     small = tmp_path / "small.tbl"
     small.write_text(finite.format_table(finite.make_chain(2)))
     big = tmp_path / "big.tbl"
