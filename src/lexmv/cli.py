@@ -84,15 +84,18 @@ _NEEDS_LEX = "this command needs a gamma(lex(...),...) algebra"
 def _build(text: str, cmd: str, cap: int) -> object:
     """Parse and build an algebra expression for cmd.  Before any table
     is built, the lex commands refuse a chain or prod, and the size of a
-    chain or prod (for the finite commands also of a gamma) is checked
-    against the cap; finite_size refuses an expression that is not a
-    finite algebra."""
+    chain or prod is checked against the cap; finite_size refuses an
+    expression that is not a finite algebra.  A finite command's gamma is
+    built once, as an interval algebra, and that algebra is sized."""
     node = dsl.parse(text)
-    table = not isinstance(node, dsl.GammaNode)
-    if table and cmd in LEX_COMMANDS:
+    if isinstance(node, dsl.GammaNode):
+        alg = dsl.build_algebra(node)
+        if cmd in FINITE_COMMANDS:
+            _check_cap(dsl.chain_length(alg, node.span) + 1, cap)
+        return alg
+    if cmd in LEX_COMMANDS:
         raise UsageError(_NEEDS_LEX)
-    if table or cmd in FINITE_COMMANDS:
-        _check_cap(dsl.finite_size(node), cap)
+    _check_cap(dsl.finite_size(node), cap)
     return dsl.build_algebra(node)
 
 

@@ -328,7 +328,7 @@ def build_algebra(node: Node):
     raise TypeError(f"not an algebra node: {node!r}")
 
 
-def _chain_n(alg, span) -> int:
+def chain_length(alg, span) -> int:
     """n when alg is the chain Gamma(Z, n): its group is Z once every
     trivial lex factor is dropped, with its coordinate of the strong
     unit, so n >= 1.  Otherwise "is not a finite algebra" at span."""
@@ -351,7 +351,7 @@ def finite_size(node: Node) -> int:
         return node.n + 1
     if isinstance(node, ProdNode):
         return finite_size(node.left) * finite_size(node.right)
-    return _chain_n(build_algebra(node), node.span) + 1
+    return chain_length(build_algebra(node), node.span) + 1
 
 
 def as_finite(alg, span=(1, 1)) -> FiniteMv:
@@ -360,4 +360,4 @@ def as_finite(alg, span=(1, 1)) -> FiniteMv:
     Any other algebra raises "is not a finite algebra" at span."""
     if isinstance(alg, FiniteMv):
         return alg
-    return make_chain(_chain_n(alg, span))
+    return make_chain(chain_length(alg, span))

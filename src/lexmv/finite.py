@@ -213,20 +213,6 @@ class IdealInfo:
     strict: bool
 
 
-def _is_ideal(a: FiniteMv, mask: int) -> bool:
-    if not mask >> a.zero & 1:
-        return False
-    for i in range(a.size):
-        if not mask >> i & 1:
-            continue
-        for x in range(a.size):
-            if a.le(x, i) and not mask >> x & 1:
-                return False
-            if mask >> x & 1 and not mask >> a.oplus[i][x] & 1:
-                return False
-    return True
-
-
 def is_normal(a: FiniteMv, mask: int) -> bool:
     """x (+) I = I (+) x for every x."""
     members = [i for i in range(a.size) if mask >> i & 1]
@@ -331,8 +317,14 @@ def is_infinitesimal(a: FiniteMv, x: int) -> bool:
 
 
 def quotient(a: FiniteMv, mask: int) -> tuple:
-    """(A / I, projection list); I must be a normal ideal."""
-    if not _is_ideal(a, mask):
+    """(A / I, projection list); I must be a normal ideal.  A mask is an
+    ideal iff it is the ideal generated by s, the (+) of its members:
+    each member is at most s, and an ideal holding the members holds s."""
+    s = a.zero
+    for i in range(a.size):
+        if mask >> i & 1:
+            s = a.oplus[s][i]
+    if mask != generated_normal_ideal(a, s):
         raise TableError("not an ideal")
     if not is_normal(a, mask):
         raise TableError("quotient needs a normal ideal")
@@ -538,19 +530,14 @@ def check_rdp2(a: FiniteMv, cap: int = 12) -> bool:
     if a.size > cap:
         raise CapExceeded(f"rdp2 capped at {cap} elements, got {a.size}")
     n, op, od = a.size, a.oplus, a._tables.odot
-    psum = [[op[x][y] if od[x][y] == a.zero else None for y in range(n)] for x in range(n)]
-    # sub[x][t]: all y with x + y = t
+    # sub[x][t]: all y with x + y = t; by_sum[t]: all (x, y) with x + y = t
     sub = [[[] for _ in range(n)] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            t = psum[x][y]
-            if t is not None:
-                sub[x][t].append(y)
     by_sum = {}
     for x in range(n):
-        for y in range(n):
-            t = psum[x][y]
-            if t is not None:
+        for y, d in enumerate(od[x]):
+            if d == a.zero:
+                t = op[x][y]
+                sub[x][t].append(y)
                 by_sum.setdefault(t, []).append((x, y))
     for pairs in by_sum.values():
         for a1, a2 in pairs:

@@ -280,7 +280,7 @@ def theorem_suite(
         rep.details["vii-quotient"] = "skipped: nonzero offset"
     else:
         try:
-            srep = state_report(state_on_lex(la), *args, vanishes_on=SymbolicIdeal(alg, in_m0))
+            srep = state_report(alg, state_on_lex(la), *args, vanishes_on=in_m0)
         except UnsupportedBaseError:
             rep.details["v-state"] = "skipped: no closed-form base state"
         else:
@@ -379,20 +379,11 @@ def verify_hom(
 # Canonical ideal, quotient, states
 
 
-@dataclass(frozen=True)
-class SymbolicIdeal:
-    """Membership predicate; canonically the head-zero positive cone."""
-
-    algebra: PmvAlgebra
-    contains: Callable[[PmvElem], bool]
-    description: str = ""
-
-
 def canonical_lex_ideal(
     lexalg: LexAlgebra, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
-) -> tuple[SymbolicIdeal, Report]:
-    """I = {(0, g): g >= 0} with a sampled flavor report: ideal closure,
-    normality, primality, strictness and quotient commutativity."""
+) -> tuple[Callable[[PmvElem], bool], Report]:
+    """(contains, report): the membership predicate of I = {(0, g): g >= 0}, and a
+    sampled report on closure, normality, primality, strictness and commutativity."""
     if not lexalg.strong_form:
         raise WitnessError("canonical ideal analysis is stated for offset 0")
     alg = lexalg.algebra
@@ -402,7 +393,6 @@ def canonical_lex_ideal(
         head, tail = x.value
         return h.cmp(head, h.zero) == 0 and f.cmp(tail, f.zero) >= 0
 
-    ideal = SymbolicIdeal(alg, contains, description="{(0,g): g >= 0}")
     head = lambda e: e.value[0]
 
     def draw(rng):
@@ -435,8 +425,8 @@ def canonical_lex_ideal(
     ]
     rep = run_suite("canonical-lex-ideal", sample_budget, seed, draw, clauses)
     # the ideal is described whatever the verdict
-    rep.details["ideal"] = ideal.description
-    return ideal, rep
+    rep.details["ideal"] = "{(0,g): g >= 0}"
+    return contains, rep
 
 
 def quotient_to_base(lexalg: LexAlgebra) -> Mapping:
@@ -456,15 +446,6 @@ def quotient_to_base(lexalg: LexAlgebra) -> Mapping:
     return Mapping(alg, base_alg, fn, preimage, description="head projection")
 
 
-@dataclass(frozen=True)
-class StateFn:
-    algebra: PmvAlgebra
-    fn: Callable[[PmvElem], Fraction]
-
-    def __call__(self, x: PmvElem) -> Fraction:
-        return self.fn(x)
-
-
 def _closed_form_state(g: UnitalGroup) -> Callable[[object], Fraction]:
     s0 = g.spec.ops.state(g.unit)
     if s0 is None:
@@ -472,31 +453,30 @@ def _closed_form_state(g: UnitalGroup) -> Callable[[object], Fraction]:
     return s0
 
 
-def unique_state(alg: PmvAlgebra) -> StateFn:
-    """The unique state of a linear catalog algebra."""
+def unique_state(alg: PmvAlgebra) -> Callable[[PmvElem], Fraction]:
+    """The unique state of a linear catalog algebra, as a plain callable."""
     s0 = _closed_form_state(alg.group)
-    return StateFn(alg, lambda x: s0(x.value))
+    return lambda x: s0(x.value)
 
 
-def state_on_lex(lexalg: LexAlgebra) -> StateFn:
-    """s = s0 o head, vanishing on the canonical ideal."""
+def state_on_lex(lexalg: LexAlgebra) -> Callable[[PmvElem], Fraction]:
+    """s = s0 o head as a plain callable; it vanishes on the canonical ideal."""
     if not lexalg.strong_form:
         raise WitnessError("state_on_lex is stated for offset 0")
     s0 = _closed_form_state(lexalg.base)
-    alg = lexalg.algebra
-    return StateFn(alg, lambda x: s0(x.value[0]))
+    return lambda x: s0(x.value[0])
 
 
 def state_report(
-    s: StateFn,
+    alg: PmvAlgebra,
+    s: Callable[[PmvElem], Fraction],
     sample_budget: int = 1000,
     seed: int = 0,
     bound: int = DEFAULT_BOUND,
-    vanishes_on: Optional[SymbolicIdeal] = None,
+    vanishes_on: Optional[Callable[[PmvElem], bool]] = None,
 ) -> Report:
-    """s(1) = 1 and additivity on sampled defined partial sums; optionally
-    vanishing on sampled members of an ideal."""
-    alg = s.algebra
+    """s(1) = 1 and additivity on defined partial sums sampled from alg;
+    optionally s(a) = 0 on the samples a with vanishes_on(a), a predicate."""
 
     def draw(rng):
         a = sample_elem(alg, rng, bound)
@@ -507,7 +487,7 @@ def state_report(
     clauses = [
         ("additivity", lambda a, b, ab: ab is not None and s(ab) != s(a) + s(b) and (a, b)),
         ("vanishes-on-ideal", lambda a, b, ab: vanishes_on is not None
-         and vanishes_on.contains(a) and s(a) != 0 and (a,)),
+         and vanishes_on(a) and s(a) != 0 and (a,)),
     ]
     return run_suite("state", sample_budget, seed, draw, clauses, once)
 

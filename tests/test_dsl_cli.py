@@ -282,6 +282,23 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
     refused(("check-axioms", "--table", str(big)), 13)
 
 
+def test_cli_builds_a_finite_gamma_once(capsys, monkeypatch):
+    # a finite command's gamma is built once, as an interval algebra, and
+    # that algebra is sized against the cap and realized as a table
+    calls = []
+    build = dsl.build_algebra
+    monkeypatch.setattr(dsl, "build_algebra", lambda node: calls.append(node) or build(node))
+    for argv, code, builds in [
+        (("ideals", "gamma(Z,5)"), 0, 1),
+        (("rdp2", "gamma(lex(O,Z),(0,3))"), 0, 1),
+        (("ideals", "gamma(Z,100)"), 1, 1),
+        (("isomorphic", "gamma(Z,2)", "--other", "gamma(lex(O,Z),(0,2))"), 0, 2),
+    ]:
+        calls.clear()
+        assert run_cli(capsys, "run", *argv)[0] == code, argv
+        assert len(calls) == builds, argv
+
+
 def test_cli_byte_identical_runs(capsys):
     argv = ("run", "witness", "gamma(lex(Z,Z),(2,1))", "--samples", "50", "--seed", "3")
     code1, out1 = run_cli(capsys, *argv)

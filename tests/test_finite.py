@@ -144,8 +144,27 @@ def test_quotient():
     c6 = make_chain(6)
     q3, _ = quotient(c6, 1)
     assert brute_isomorphic(q3, c6)[0]
-    with pytest.raises(TableError):
-        quotient(C4, 0b11)  # not an ideal
+    # not ideals: {0, 1} of C4, and {0} or all of chain(3) plus a bit
+    # for an element that chain(3) does not have
+    for a, mask in ((C4, 0b11), (make_chain(3), 1 | 1 << 10), (make_chain(3), 0b1111 | 1 << 4)):
+        with pytest.raises(TableError, match="^not an ideal$"):
+            quotient(a, mask)
+
+
+def test_quotient_accepts_exactly_the_ideals():
+    """The principal rule in quotient against the definition, on every
+    mask of every library table with at most 9 elements."""
+    tables = [t for t in library_tables(random.Random(19)) if t.size <= 9]
+    assert len(tables) > 200
+    for t in tables:
+        for m in range(1 << t.size):
+            try:
+                quotient(t, m)
+                accepted = True
+            except TableError as exc:
+                assert str(exc) in ("not an ideal", "quotient needs a normal ideal"), (str(t), m)
+                accepted = str(exc) != "not an ideal"
+            assert accepted == brute_is_ideal(t, m), (str(t), m)
 
 
 def test_retractive_and_complement():
@@ -328,8 +347,23 @@ def test_small_tables_that_pass_the_axiom_scan_are_commutative():
 # Brute-force references: the 2^n subset scans the polynomial oracle replaced
 
 
+def brute_is_ideal(a, mask):
+    """Holds 0, and is closed downward and under (+), by the le method."""
+    if mask >> a.size or not mask >> a.zero & 1:
+        return False
+    for i in range(a.size):
+        if not mask >> i & 1:
+            continue
+        for x in range(a.size):
+            if a.le(x, i) and not mask >> x & 1:
+                return False
+            if mask >> x & 1 and not mask >> a.oplus[i][x] & 1:
+                return False
+    return True
+
+
 def brute_ideal_masks(a):
-    return sorted(m for m in range(1 << a.size) if finite._is_ideal(a, m))
+    return sorted(m for m in range(1 << a.size) if brute_is_ideal(a, m))
 
 
 def brute_is_subalgebra(a, s):

@@ -179,7 +179,7 @@ def suite_reports() -> dict:
         for fn in (axioms.axiom_report, axioms.pea_equivalence_report, axioms.partial_sum_report):
             out[f"{fn.__name__}/{k}"] = fn(a, N, 1)
     for k in ("Z7", "Q3-2"):
-        out[f"state_report/{k}"] = W.state_report(W.unique_state(alg[k]), N, 2)
+        out[f"state_report/{k}"] = W.state_report(alg[k], W.unique_state(alg[k]), N, 2)
     for k in LEX:
         la = W.LexAlgebra.from_algebra(alg[k])
         w = W.canonical_witness(la, "strong" if la.strong_form else "weak")
@@ -189,7 +189,8 @@ def suite_reports() -> dict:
         out[f"verify_hom/phi/{k}"] = W.verify_hom(W.build_phi(w), N, 5)
         if la.strong_form:
             ideal, out[f"canonical_lex_ideal/{k}"] = W.canonical_lex_ideal(la, N, 6)
-            out[f"state_report/{k}"] = W.state_report(W.state_on_lex(la), N, 7, vanishes_on=ideal)
+            out[f"state_report/{k}"] = W.state_report(
+                la.algebra, W.state_on_lex(la), N, 7, vanishes_on=ideal)
             out[f"verify_hom/quotient/{k}"] = W.verify_hom(
                 W.quotient_to_base(la), N, 8, check_injective=False)
     # broken inputs, each failing a clause that the mutation suite does not reach
@@ -200,11 +201,11 @@ def suite_reports() -> dict:
     out["theorem_suite/indexer-shift"] = W.theorem_suite(shifted, N, 9)
     out["theorem_suite/indexer-constant"] = W.theorem_suite(constant, N, 9)
     s = W.state_on_lex(la)
-    out["state_report/zero"] = W.state_report(W.StateFn(s.algebra, lambda x: Fraction(0)), N, 10)
-    tail_squared = W.StateFn(s.algebra, lambda x: s(x) + x.value[1] ** 2)
-    out["state_report/tail-squared"] = W.state_report(tail_squared, N, 10)
-    everything = W.SymbolicIdeal(s.algebra, lambda x: True)
-    out["state_report/vanishes"] = W.state_report(s, N, 10, vanishes_on=everything)
+    out["state_report/zero"] = W.state_report(la.algebra, lambda x: Fraction(0), N, 10)
+    tail_squared = lambda x: s(x) + x.value[1] ** 2
+    out["state_report/tail-squared"] = W.state_report(la.algebra, tail_squared, N, 10)
+    everything = lambda x: True
+    out["state_report/vanishes"] = W.state_report(la.algebra, s, N, 10, vanishes_on=everything)
     z2 = dsl.build_algebra(dsl.parse("gamma(Z,2)"))
     jump = W.Mapping(z2, z2, lambda x: z2.elem(2 if x.value else 0), description="jump")
     out["verify_hom/jump"] = W.verify_hom(jump, N, 11)

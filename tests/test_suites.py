@@ -35,7 +35,7 @@ SUITES = {
     "theorem_suite": lambda n: theorem_suite(W20, n),
     "verify_hom": lambda n: verify_hom(build_phi(W20), n),
     "canonical_lex_ideal": lambda n: canonical_lex_ideal(L20, n)[1],
-    "state_report": lambda n: state_report(state_on_lex(L20), n),
+    "state_report": lambda n: state_report(L20.algebra, state_on_lex(L20), n),
 }
 
 
