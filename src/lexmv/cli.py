@@ -201,8 +201,6 @@ def _run_command(args) -> Report:
         rows = []
         full = (1 << a.size) - 1
         for mask in finite.enumerate_ideal_masks(a):
-            if not finite.is_normal(a, mask):
-                continue
             ret, _ = finite.is_retractive(a, mask)
             comp, _ = finite.has_complement(a, mask)
             rows.append({"elements": a.mask_labels(mask), "retractive": ret, "complement": comp})

@@ -1,9 +1,11 @@
 """Exhaustive oracle on finite MV-algebras given by explicit tables.
 
-Every finite pseudo MV-algebra is commutative, so one negation table
-suffices and x (.) y = neg(neg(x) (+) neg(y)).  Algebras are stored as
-plain tables, deliberately independent from the interval construction:
-the tables are the ground truth the symbolic side is checked against.
+Every finite pseudo MV-algebra is commutative (it is Gamma(G, u) with G
+Archimedean, hence Abelian), so check_axioms refuses a non-symmetric (+),
+every ideal is normal, one negation table suffices and x (.) y =
+neg(neg(x) (+) neg(y)).  Algebras are stored as plain tables, deliberately
+independent from the interval construction: the tables are the ground
+truth the symbolic side is checked against.
 
 Ideals and subalgebras are bitmasks over element indices.  Enumerations
 are complete but polynomial in the size: ideals as the principal ideals,
@@ -12,7 +14,8 @@ reports are byte-stable.
 
 The FiniteMv methods and check_axioms are the definitions; the ideal
 predicates, generated_normal_ideal, quotient and check_rdp2 read derived
-tables (FiniteMv._tables) built from those methods once, on first use.
+tables (FiniteMv._odot, _join, _meet, _down and _dist), each built from
+those methods on its own first use.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Optional
 
 from .reports import Report
@@ -33,6 +35,10 @@ class TableError(ValueError):
 
 class CapExceeded(RuntimeError):
     """An exhaustive suite was asked to run past its size cap."""
+
+
+def _grid(n: int, f) -> tuple:
+    return tuple(tuple(f(x, y) for y in range(n)) for x in range(n))
 
 
 @dataclass(frozen=True)
@@ -62,17 +68,16 @@ class FiniteMv:
         # a pickle is outside input: rebuild it through the axiom scan
         return (FiniteMv, (self.size, self.oplus, self.neg, self.zero, self.one, self.labels))
 
-    @cached_property
-    def _tables(self) -> SimpleNamespace:
-        """odot, join, meet and dist[x][y] = (x (.) y-) (+) (y (.) x-) as
-        index tables, and down[y], the mask of {x : x <= y}, all built from
-        the methods below; the ideal, quotient and RDP2 scans read them."""
-        n = range(self.size)
-        ng, grid = self.neg, lambda f: tuple(tuple(f(x, y) for y in n) for x in n)
-        return SimpleNamespace(
-            odot=grid(self.odot), join=grid(self.join), meet=grid(self.meet),
-            down=tuple(sum(1 << x for x in n if self.le(x, y)) for y in n),
-            dist=grid(lambda x, y: self.oplus[self.odot(x, ng[y])][self.odot(y, ng[x])]))
+    # Derived tables, each built from the methods below on its own first
+    # use.  down[y] is the mask of {x : x <= y}; x and y are congruent
+    # modulo an ideal iff it holds dist[x][y] = (x (.) y-) (+) (y (.) x-).
+    _odot = cached_property(lambda a: _grid(a.size, a.odot))
+    _join = cached_property(lambda a: _grid(a.size, a.join))
+    _meet = cached_property(lambda a: _grid(a.size, a.meet))
+    _down = cached_property(lambda a: tuple(sum(1 << x for x in range(a.size) if a.le(x, y))
+                                            for y in range(a.size)))
+    _dist = cached_property(lambda a: _grid(
+        a.size, lambda x, y: a.oplus[a.odot(x, a.neg[y])][a.odot(y, a.neg[x])]))
 
     # -- derived operations, all index-level --------------------------------
 
@@ -113,7 +118,9 @@ class FiniteMv:
 
 
 def check_axioms(a: FiniteMv) -> Report:
-    """A1-A8 over all index pairs/triples, plus table closure."""
+    """A1-A8 over all index pairs/triples, table closure, and a commutative
+    (+), which with A6 and A7 makes Chang's MV axioms.  No finite pseudo
+    MV-algebra fails it, and it makes every ideal normal."""
     rep = Report("check-axioms", "pass", samples=a.size)
     n = a.size
     if len(a.oplus) != n or any(len(r) != n for r in a.oplus) or len(a.neg) != n:
@@ -136,6 +143,8 @@ def check_axioms(a: FiniteMv) -> Report:
                 return rep.fail("A6", [w(x), w(y)])
             if a.odot(x, op[ng[x]][y]) != a.odot(y, op[ng[y]][x]):
                 return rep.fail("A7", [w(x), w(y)])
+            if op[x][y] != op[y][x]:
+                return rep.fail("commutative", [w(x), w(y)])
             for z in range(n):
                 if op[x][op[y][z]] != op[op[x][y]][z]:
                     return rep.fail("A1", [w(x), w(y), w(z)])
@@ -205,6 +214,9 @@ def make_subalgebra(a: FiniteMv, subset) -> FiniteMv:
 
 @dataclass(frozen=True)
 class IdealInfo:
+    """An ideal and its flags; normal (x (+) I = I (+) x) and commutative
+    (A/I is) are True, decided by check_axioms' commutative clause."""
+
     mask: int
     normal: bool
     maximal: bool
@@ -213,34 +225,19 @@ class IdealInfo:
     strict: bool
 
 
-def is_normal(a: FiniteMv, mask: int) -> bool:
-    """x (+) I = I (+) x for every x."""
-    members = [i for i in range(a.size) if mask >> i & 1]
-    return all(
-        {a.oplus[x][i] for i in members} == {a.oplus[i][x] for i in members}
-        for x in range(a.size)
-    )
-
-
 def _is_prime(a: FiniteMv, mask: int) -> bool:
     """Proper, and x /\\ y in I only when x or y is."""
-    n, meet = range(a.size), a._tables.meet
+    n, meet = range(a.size), a._meet
     return mask != (1 << a.size) - 1 and all(
         mask >> x & 1 or mask >> y & 1 for x in n for y in n if mask >> meet[x][y] & 1
     )
 
 
-def _is_commutative(a: FiniteMv, mask: int) -> bool:
-    """x (+) y and y (+) x are congruent modulo I: their dist is in I."""
-    n, op, dist = range(a.size), a.oplus, a._tables.dist
-    return all(mask >> dist[op[x][y]][op[y][x]] & 1 for x in n for y in n)
-
-
 def _is_strict(a: FiniteMv, mask: int) -> bool:
     """x/I < y/I only when x < y, where x/I <= y/I iff x (.) y- is in I."""
-    n, t = range(a.size), a._tables
-    qle = [[mask >> t.odot[x][a.neg[y]] & 1 for y in n] for x in n]
-    return all(t.down[y] >> x & 1 and x != y for x in n for y in n
+    n, od, down = range(a.size), a._odot, a._down
+    qle = [[mask >> od[x][a.neg[y]] & 1 for y in n] for x in n]
+    return all(down[y] >> x & 1 and x != y for x in n for y in n
                if qle[x][y] and not qle[y][x])
 
 
@@ -265,8 +262,7 @@ def enumerate_ideals(a: FiniteMv, cap: int = 12) -> list:
     masks = enumerate_ideal_masks(a)
     maximal = set(_maximal_masks(a, masks))
     return [
-        IdealInfo(m, is_normal(a, m), m in maximal, _is_prime(a, m), _is_commutative(a, m),
-                  _is_strict(a, m))
+        IdealInfo(m, True, m in maximal, _is_prime(a, m), True, _is_strict(a, m))
         for m in masks
     ]
 
@@ -276,26 +272,21 @@ def generated_normal_ideal(a: FiniteMv, x: int) -> int:
     because finite pseudo MV-algebras are commutative.  Computed as the
     down-set of the stabilized truncated multiple m.x: that multiple is
     (+)-idempotent, so its down-set is already closed under (+)."""
-    acc, top, join = a.zero, a.zero, a._tables.join
+    acc, top, join = a.zero, a.zero, a._join
     for _ in range(a.size + 1):
         acc = a.oplus[acc][x]
         top = join[top][acc]
-    return a._tables.down[top]
+    return a._down[top]
 
 
 def radical_suite(a: FiniteMv) -> tuple:
     """(Rad, Rad_n, Infinit) as masks: the intersection of maximal ideals,
-    of normal maximal ideals, and the infinite-order elements."""
-    rad = rad_n = (1 << a.size) - 1
+    of normal maximal ideals, and the infinite-order elements.  Every
+    ideal is normal, so Rad_n is Rad."""
+    rad = (1 << a.size) - 1
     for m in _maximal_masks(a, enumerate_ideal_masks(a)):
         rad &= m
-        if is_normal(a, m):
-            rad_n &= m
-    infinit = 0
-    for x in range(a.size):
-        if is_infinitesimal(a, x):
-            infinit |= 1 << x
-    return rad, rad_n, infinit
+    return rad, rad, sum(1 << x for x in range(a.size) if is_infinitesimal(a, x))
 
 
 def is_infinitesimal(a: FiniteMv, x: int) -> bool:
@@ -317,21 +308,19 @@ def is_infinitesimal(a: FiniteMv, x: int) -> bool:
 
 
 def quotient(a: FiniteMv, mask: int) -> tuple:
-    """(A / I, projection list); I must be a normal ideal.  A mask is an
-    ideal iff it is the ideal generated by s, the (+) of its members:
-    each member is at most s, and an ideal holding the members holds s."""
+    """(A / I, projection list) for an ideal I, normal like every ideal.  A
+    mask is an ideal iff it is the ideal generated by s, the (+) of its
+    members: each member is at most s, and an ideal holding them holds s."""
     s = a.zero
     for i in range(a.size):
         if mask >> i & 1:
             s = a.oplus[s][i]
     if mask != generated_normal_ideal(a, s):
         raise TableError("not an ideal")
-    if not is_normal(a, mask):
-        raise TableError("quotient needs a normal ideal")
     proj = [-1] * a.size
     reps = []
     for x in range(a.size):
-        dist = a._tables.dist[x]
+        dist = a._dist[x]
         for k, r in enumerate(reps):
             if mask >> dist[r] & 1:
                 proj[x] = k
@@ -466,13 +455,14 @@ def has_complement(a: FiniteMv, mask: int) -> tuple:
 
 
 def is_lexicographic_ideal(a: FiniteMv, mask: int) -> tuple:
-    """(bool, clause dict): proper, commutative, strict, prime, retractive."""
+    """(bool, clause dict): proper, commutative (always, see IdealInfo),
+    strict, prime, retractive."""
     clauses = {
         "proper": mask != 1 << a.zero and mask != (1 << a.size) - 1,
-        "commutative": _is_commutative(a, mask),
+        "commutative": True,
         "strict": _is_strict(a, mask),
         "prime": _is_prime(a, mask),
-        "retractive": is_normal(a, mask) and is_retractive(a, mask)[0],
+        "retractive": is_retractive(a, mask)[0],
     }
     return all(clauses.values()), clauses
 
@@ -491,11 +481,9 @@ class FiniteState:
 
 def extremal_states(a: FiniteMv) -> list:
     """One extremal state per maximal ideal: the quotient by a maximal
-    normal ideal is a finite chain, valued k/n along its order."""
+    ideal is a finite chain, valued k/n along its order."""
     out = []
     for m in _maximal_masks(a, enumerate_ideal_masks(a)):
-        if not is_normal(a, m):
-            continue
         q, proj = quotient(a, m)
         order = sorted(range(q.size), key=lambda k: sum(q.le(j, k) for j in range(q.size)))
         rank = {k: i for i, k in enumerate(order)}
@@ -516,8 +504,7 @@ def state_is_additive(a: FiniteMv, s: FiniteState) -> bool:
 
 
 def is_local(a: FiniteMv) -> bool:
-    maxes = _maximal_masks(a, enumerate_ideal_masks(a))
-    return len(maxes) == 1 and is_normal(a, maxes[0])
+    return len(_maximal_masks(a, enumerate_ideal_masks(a))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +516,7 @@ def check_rdp2(a: FiniteMv, cap: int = 12) -> bool:
     c11, c12, c21, c22 with c12 /\\ c21 = 0."""
     if a.size > cap:
         raise CapExceeded(f"rdp2 capped at {cap} elements, got {a.size}")
-    n, op, od = a.size, a.oplus, a._tables.odot
+    n, op, od = a.size, a.oplus, a._odot
     # sub[x][t]: all y with x + y = t; by_sum[t]: all (x, y) with x + y = t
     sub = [[[] for _ in range(n)] for _ in range(n)]
     by_sum = {}
@@ -548,7 +535,7 @@ def check_rdp2(a: FiniteMv, cap: int = 12) -> bool:
 
 
 def _rdp2_cell(a: FiniteMv, sub, a1, a2, b1, b2) -> bool:
-    meet = a._tables.meet
+    meet = a._meet
     for c11 in range(a.size):
         for c12 in sub[c11][a1]:
             for c21 in sub[c11][b1]:

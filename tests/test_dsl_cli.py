@@ -206,6 +206,25 @@ def test_cli_failure_exit(capsys):
     assert rep["counterexamples"][0]["clause"] == "no-isomorphism"
 
 
+def test_cli_finite_fail_verdicts(capsys, monkeypatch):
+    """No table that passes check_axioms reaches these verdicts, so each
+    is reached through a broken oracle helper."""
+    bad_state = lambda a: [finite.FiniteState((Fraction(0),) * (a.size - 1) + (Fraction(1),))]
+    for cmd, helper, broken, clause in [
+        ("radical", "is_infinitesimal", lambda a, x: False, "radical-chain"),
+        ("states", "extremal_states", bad_state, "state-additivity"),
+        ("retractive", "_find_hom", lambda *args: None, "retractive-complement-agreement"),
+        ("rdp2", "_rdp2_cell", lambda *args: False, "rdp2"),
+    ]:
+        assert run_cli(capsys, "run", cmd, "chain(2)")[0] == 0, cmd
+        with monkeypatch.context() as patch:
+            patch.setattr(finite, helper, broken)
+            code, out = run_cli(capsys, "run", cmd, "chain(2)")
+        rep = json.loads(out)
+        assert (code, rep["verdict"]) == (1, "fail"), cmd
+        assert [c["clause"] for c in rep["counterexamples"]] == [clause], cmd
+
+
 def test_cli_cap_exceeded(capsys):
     code, out = run_cli(capsys, "run", "ideals", "chain(20)")
     assert code == 1

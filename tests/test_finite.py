@@ -69,7 +69,9 @@ def test_make_subalgebra():
 
 def test_check_axioms_catches_corruption():
     """One broken table per clause: an oplus cell (x, y, value) and any
-    other fields replaced, each caught by the clause it breaks first."""
+    other fields replaced, each caught by the clause it breaks first.  The
+    non-symmetric table passes every check the scan makes before the pair
+    (1, 2); no one-cell change of chain(3) or chain(1)^2 does."""
     broken = [
         ("shape", C2, None, dict(neg=(2, 1))),
         ("closure", C2, (0, 0, 3), {}),
@@ -80,6 +82,8 @@ def test_check_axioms_catches_corruption():
         ("A6", C2, (0, 1, 0), {}),
         ("A7", C2, (1, 1, 0), {}),
         ("A8", C2, None, dict(neg=(1, 1, 0))),
+        ("commutative", make_chain(3), None,
+         dict(oplus=((0, 1, 2, 3), (1, 3, 3, 3), (2, 1, 3, 3), (3, 3, 3, 3)), neg=(3, 1, 2, 0))),
     ]
     for clause, base, cell, fields in broken:
         op = [list(r) for r in base.oplus]
@@ -162,8 +166,8 @@ def test_quotient_accepts_exactly_the_ideals():
                 quotient(t, m)
                 accepted = True
             except TableError as exc:
-                assert str(exc) in ("not an ideal", "quotient needs a normal ideal"), (str(t), m)
-                accepted = str(exc) != "not an ideal"
+                assert str(exc) == "not an ideal", (str(t), m)
+                accepted = False
             assert accepted == brute_is_ideal(t, m), (str(t), m)
 
 
@@ -257,6 +261,23 @@ def test_rdp2():
     assert check_rdp2(P22)
 
 
+def test_state_and_rdp2_checks_fail_on_tables_that_break_a_law():
+    """chain(4) with 1 (+) 1 = 3, which breaks A6, has no RDP2, and the
+    state of chain(4) is not additive on it; with one moved to 3, which
+    breaks A3, that state is not normalized."""
+    op = [list(r) for r in C4.oplus]
+    op[1][1] = 3
+    broken = FiniteMv(5, tuple(map(tuple, op)), C4.neg, 0, 4, unchecked=True)
+    moved = FiniteMv(5, C4.oplus, C4.neg, 0, 3, unchecked=True)
+    assert [finite.check_axioms(t).counterexamples[0]["clause"] for t in (broken, moved)] == [
+        "A6", "A3"]
+    (s4,) = extremal_states(C4)
+    assert finite.state_is_additive(C4, s4)
+    assert not finite.state_is_additive(broken, s4)  # s(1 (+) 1) = 3/4, s(1) + s(1) = 1/2
+    assert not finite.state_is_additive(moved, s4)  # s(one) = 3/4
+    assert check_rdp2(C4) and not check_rdp2(broken)
+
+
 def test_hom_searches_leave_no_cyclic_garbage():
     """A search's closures are freed when it returns, not by the collector."""
     gc.collect()
@@ -307,11 +328,28 @@ def test_pickles_load_through_the_checked_constructor():
     with pytest.raises(TableError):
         pickle.loads(pickle.dumps(FiniteMv(**forged, unchecked=True)))
     for t in (P22, quotient(P22, mask_of(P22, [0, 3, 6]))[0], parse_table(format_table(C4))):
-        tables = t._tables
+        tables = {k: getattr(t, k) for k in DERIVED}
         again = pickle.loads(pickle.dumps(t))
         assert again == t and again.labels == t.labels and not again.unchecked
-        assert "_tables" not in vars(again)  # the derived tables are not pickled
-        assert again._tables == tables and again._tables is not tables
+        assert not vars(again).keys() & DERIVED  # the derived tables are not pickled
+        assert {k: getattr(again, k) for k in DERIVED} == tables
+
+
+DERIVED = {"_odot", "_join", "_meet", "_down", "_dist"}
+
+
+def test_each_derived_table_is_built_on_its_own_first_use():
+    """A checked table builds none; each scan builds only the tables it reads."""
+    for scan, built in [
+        (finite.check_axioms, set()),
+        (enumerate_ideals, {"_odot", "_join", "_meet", "_down"}),
+        (radical_suite, {"_join", "_down"}),
+        (check_rdp2, {"_odot", "_meet"}),
+        (lambda t: quotient(t, 1), {"_join", "_down", "_dist"}),
+    ]:
+        t = parse_table(format_table(P22))
+        scan(t)
+        assert vars(t).keys() & DERIVED == built, scan
 
 
 def small_tables(n):
@@ -329,18 +367,26 @@ def small_tables(n):
 
 
 def test_small_tables_that_pass_the_axiom_scan_are_commutative():
-    """No 3- or 4-element table with a non-symmetric (+) passes the scan,
-    so every ideal of those tables is normal."""
+    """Every 3- or 4-element table that the commutative clause refuses
+    first is not associative either, so at these sizes the clause refuses
+    no table that the other clauses accept; every ideal of an accepted
+    table is normal and has a commutative quotient."""
     counts = {}
     for n in (3, 4):
         tables = list(small_tables(n))
-        accepted = [t for t in tables if finite.check_axioms(t).ok]
-        counts[n] = len(tables), len(accepted)
+        clauses = [finite.check_axioms(t).counterexamples[:1] for t in tables]
+        accepted = [t for t, c in zip(tables, clauses) if not c]
+        refused = [t for t, c in zip(tables, clauses) if c and c[0]["clause"] == "commutative"]
+        counts[n] = len(tables), len(accepted), len(refused)
+        r = range(n)
+        for t in refused:
+            assert not all(t.oplus[x][t.oplus[y][z]] == t.oplus[t.oplus[x][y]][z]
+                           for x in r for y in r for z in r), t.oplus
         for t in accepted:
-            assert all(t.oplus[x][y] == t.oplus[y][x] for x in range(n) for y in range(n))
-            assert all(finite.is_normal(t, m) for m in finite.enumerate_ideal_masks(t))
+            assert all(brute_is_normal(t, m) and brute_is_commutative(t, m)
+                       for m in finite.enumerate_ideal_masks(t))
     # chain(2); chain(3) in both labelings, and chain(1)^2
-    assert counts == {3: (3, 1), 4: (512, 3)}
+    assert counts == {3: (3, 1, 0), 4: (512, 3, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +406,22 @@ def brute_is_ideal(a, mask):
             if mask >> x & 1 and not mask >> a.oplus[i][x] & 1:
                 return False
     return True
+
+
+def brute_is_normal(a, mask):
+    """x (+) I = I (+) x for every x."""
+    members = [i for i in range(a.size) if mask >> i & 1]
+    return all(
+        {a.oplus[x][i] for i in members} == {a.oplus[i][x] for i in members}
+        for x in range(a.size)
+    )
+
+
+def brute_is_commutative(a, mask):
+    """x (+) y and y (+) x are congruent modulo I, by the FiniteMv methods."""
+    n, op, ng = range(a.size), a.oplus, a.neg
+    dist = lambda x, y: op[a.odot(x, ng[y])][a.odot(y, ng[x])]
+    return all(mask >> dist(op[x][y], op[y][x]) & 1 for x in n for y in n)
 
 
 def brute_ideal_masks(a):
@@ -600,7 +662,9 @@ def test_table_scans_match_the_methods(seed):
 
 
 # The derivations from enumerate_ideals' flags that the per-property
-# predicates replaced: every ideal with all five flags, then a filter.
+# predicates replaced: every ideal with its flags, then a filter.  The
+# brute-force twins decide normality and commutativity, which the flags
+# and the library take from check_axioms' commutative clause.
 
 
 def ref_radical_suite(a):
@@ -609,7 +673,7 @@ def ref_radical_suite(a):
     for info in enumerate_ideals(a, cap=a.size):
         if info.maximal:
             rad &= info.mask
-            if info.normal:
+            if brute_is_normal(a, info.mask):
                 rad_n &= info.mask
     infinit = sum(1 << x for x in range(a.size) if is_infinitesimal(a, x))
     return rad, rad_n, infinit
@@ -618,7 +682,7 @@ def ref_radical_suite(a):
 def ref_extremal_states(a):
     out = []
     for info in enumerate_ideals(a, cap=a.size):
-        if not (info.maximal and info.normal):
+        if not (info.maximal and brute_is_normal(a, info.mask)):
             continue
         q, proj = quotient(a, info.mask)
         order = sorted(range(q.size), key=lambda k: sum(q.le(j, k) for j in range(q.size)))
@@ -629,7 +693,7 @@ def ref_extremal_states(a):
 
 def ref_is_local(a):
     maxes = [i for i in enumerate_ideals(a, cap=a.size) if i.maximal]
-    return len(maxes) == 1 and maxes[0].normal
+    return len(maxes) == 1 and brute_is_normal(a, maxes[0].mask)
 
 
 def ref_lexicographic_ideals(a):
@@ -638,10 +702,10 @@ def ref_lexicographic_ideals(a):
     for info in enumerate_ideals(a, cap=a.size):
         clauses = {
             "proper": info.mask != 1 << a.zero and info.mask != full,
-            "commutative": info.commutative,
+            "commutative": brute_is_commutative(a, info.mask),
             "strict": info.strict,
             "prime": info.prime,
-            "retractive": info.normal and is_retractive(a, info.mask)[0],
+            "retractive": brute_is_normal(a, info.mask) and is_retractive(a, info.mask)[0],
         }
         out.append((all(clauses.values()), clauses))
     return out
