@@ -321,6 +321,9 @@ def test_caps():
         check_rdp2(make_chain(12), cap=10)
 
 
+DERIVED = {"_odot", "_join", "_meet", "_down", "_dist"}
+
+
 def test_pickles_load_through_the_checked_constructor():
     forged = dict(size=3, oplus=((0, 1, 2), (1, 0, 2), (2, 2, 2)), neg=(2, 1, 0), zero=0, one=2)
     with pytest.raises(TableError):
@@ -333,9 +336,6 @@ def test_pickles_load_through_the_checked_constructor():
         assert again == t and again.labels == t.labels and not again.unchecked
         assert not vars(again).keys() & DERIVED  # the derived tables are not pickled
         assert {k: getattr(again, k) for k in DERIVED} == tables
-
-
-DERIVED = {"_odot", "_join", "_meet", "_down", "_dist"}
 
 
 def test_each_derived_table_is_built_on_its_own_first_use():
@@ -383,6 +383,7 @@ def test_small_tables_that_pass_the_axiom_scan_are_commutative():
             assert not all(t.oplus[x][t.oplus[y][z]] == t.oplus[t.oplus[x][y]][z]
                            for x in r for y in r for z in r), t.oplus
         for t in accepted:
+            assert all(t.oplus[x][y] == t.oplus[y][x] for x in r for y in r)
             assert all(brute_is_normal(t, m) and brute_is_commutative(t, m)
                        for m in finite.enumerate_ideal_masks(t))
     # chain(2); chain(3) in both labelings, and chain(1)^2
