@@ -82,21 +82,20 @@ _NEEDS_LEX = "this command needs a gamma(lex(...),...) algebra"
 
 
 def _build(text: str, cmd: str, cap: int) -> object:
-    """Parse and build an algebra expression for cmd.  Before any table
-    is built, the lex commands refuse a chain or prod, and the size of a
-    chain or prod is checked against the cap; finite_size refuses an
-    expression that is not a finite algebra.  A finite command's gamma is
-    built once, as an interval algebra, and that algebra is sized."""
+    """Parse and build an algebra expression for cmd.  A gamma is an
+    interval algebra for the lex commands and check-axioms; the lex
+    commands refuse a chain or prod before building it.  Every other case
+    is a table: dsl.finite sizes the expression, building each gamma once
+    as an interval algebra, or refuses it, and the size is checked against
+    the cap before the table is built."""
     node = dsl.parse(text)
-    if isinstance(node, dsl.GammaNode):
-        alg = dsl.build_algebra(node)
-        if cmd in FINITE_COMMANDS:
-            _check_cap(dsl.chain_length(alg, node.span) + 1, cap)
-        return alg
+    if isinstance(node, dsl.GammaNode) and cmd not in FINITE_COMMANDS:
+        return dsl.build_algebra(node)
     if cmd in LEX_COMMANDS:
         raise UsageError(_NEEDS_LEX)
-    _check_cap(dsl.finite_size(node), cap)
-    return dsl.build_algebra(node)
+    size, build = dsl.finite(node)
+    _check_cap(size, cap)
+    return build()
 
 
 def _load(args) -> object:
@@ -139,14 +138,14 @@ def _check_flags(args) -> None:
 def _run_command(args) -> Report:
     _check_flags(args)
     cmd = args.command
-    alg = _load(args)
+    a = _load(args)  # a table for every finite command
     if cmd == "check-axioms":
-        if isinstance(alg, FiniteMv):
-            return finite.check_axioms(alg)
-        return axiom_report(alg, args.samples, args.seed, args.bound)
+        if isinstance(a, FiniteMv):
+            return finite.check_axioms(a)
+        return axiom_report(a, args.samples, args.seed, args.bound)
 
     if cmd in LEX_COMMANDS:
-        la = LexAlgebra.from_algebra(alg)
+        la = LexAlgebra.from_algebra(a)
         if cmd == "classify":
             if args.elem is None:
                 raise UsageError("classify needs --elem")
@@ -176,7 +175,6 @@ def _run_command(args) -> Report:
         rep.details["target"] = str(phi.target)
         return rep
 
-    a = dsl.as_finite(alg)
     rep = Report(cmd, "pass")
     if cmd == "ideals":
         infos = finite.enumerate_ideals(a, args.cap)
@@ -222,7 +220,7 @@ def _run_command(args) -> Report:
     else:  # isomorphic
         if args.other is None:
             raise UsageError("isomorphic needs --other with a second algebra")
-        b = dsl.as_finite(_build(args.other, cmd, args.cap))
+        b = _build(args.other, cmd, args.cap)
         ok, bij = finite.brute_isomorphic(a, b)
         rep.details["sizes"] = [a.size, b.size]
         if ok:

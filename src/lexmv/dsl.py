@@ -1,15 +1,18 @@
 """A small declarative language for groups, elements and algebras.
 
     group   := "Z" | "Q" | "O" | "Aff" | "lex" "(" group "," group ")"
-    elem    := int | rat | "(" elem "," elem ")" | "aff" "(" rat "," rat ")"
+    elem    := rat | "(" elem "," elem ")" | call "(" rat { "," rat } ")"
     algebra := "gamma" "(" group "," elem ")" | "chain" "(" int ")"
              | "prod" "(" algebra "," algebra ")"
     rat     := int [ "/" int ]
 
-Parsing builds an AST whose nodes carry (line, column) spans; semantic
-construction turns group nodes into specs, element nodes into values
-checked against a spec, and algebra nodes into interval algebras or
-finite tables.  The printer emits canonical text, stable under reparse.
+A call's keyword and arity are those of a literal rule in gr.KINDS, as
+aff(slope,shift) for Aff; like the group names, they are read from KINDS
+on every parse.  Parsing builds an AST whose nodes carry (line, column)
+spans; semantic construction turns group nodes into specs, element nodes
+into values by their spec's literal rule (GroupOps.literal), and algebra
+nodes into interval algebras or finite tables.  The printer emits
+canonical text, stable under reparse.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from . import groups as gr
 from .algebra import PmvAlgebra
-from .finite import FiniteMv, make_chain, make_product
+from .finite import make_chain, make_product
 from .groups import GroupSpec, UnitalGroup
 
 
@@ -98,9 +101,9 @@ class PairNode(Node):
 
 
 @dataclass(frozen=True)
-class AffNode(Node):
-    slope: Fraction = Fraction(1)
-    shift: Fraction = Fraction(0)
+class CallNode(Node):
+    name: str = ""
+    args: tuple = ()  # Fractions
 
 
 @dataclass(frozen=True)
@@ -201,10 +204,12 @@ class _Parser:
             return self.rat()
         if t.kind == "punct" and t.text == "(":
             return PairNode(span, *self.args(self.elem, self.elem))
-        if t.kind == "name" and t.text == "aff":
+        forms = [ops.literal[0] for ops in gr.KINDS.values()]
+        calls = dict(f for f in forms if isinstance(f, tuple))  # keyword -> arity
+        if t.kind == "name" and t.text in calls:
             self.take()
-            a, b = self.args(self.rat, self.rat)
-            return AffNode(span, a.value, b.value)
+            args = self.args(*[self.rat] * calls[t.text])
+            return CallNode(span, t.text, tuple(a.value for a in args))
         raise ParseError(f"expected an element, got {t.text!r}", t.line, t.col)
 
     def algebra(self) -> Node:
@@ -257,9 +262,8 @@ def print_ast(node: Node) -> str:
         return str(node.value)
     if isinstance(node, PairNode):
         return f"({print_ast(node.left)},{print_ast(node.right)})"
-    if isinstance(node, AffNode):
-        s, h = node.slope, node.shift
-        return gr.Aff.literal(s.numerator, s.denominator, h.numerator, h.denominator)
+    if isinstance(node, CallNode):
+        return f"{node.name}({','.join(map(str, node.args))})"
     if isinstance(node, GammaNode):
         return f"gamma({print_ast(node.group)},{print_ast(node.unit)})"
     if isinstance(node, ChainNode):
@@ -285,29 +289,20 @@ def build_group(node: GroupNode) -> GroupSpec:
 
 
 def build_elem(spec: GroupSpec, node: Node):
-    if spec.kind == "lex":
-        if not isinstance(node, PairNode):
-            raise SemanticError(f"{spec} needs a pair literal", *node.span)
-        return (build_elem(spec.left, node.left), build_elem(spec.right, node.right))
-    if spec.kind == "Aff":
-        if not isinstance(node, AffNode):
-            raise SemanticError("Aff needs aff(slope,shift)", *node.span)
-        try:
-            return gr.Aff(node.slope, node.shift)
-        except gr.ShapeError as exc:
-            raise SemanticError(str(exc), *node.span) from None
-    if not isinstance(node, RatNode):
-        raise SemanticError(f"{spec} needs a numeric literal", *node.span)
-    v = node.value
-    if spec.kind == "Z":
-        if v.denominator != 1:
-            raise SemanticError(f"Z needs an integer, got {v}", *node.span)
-        return v.numerator
-    if spec.kind == "Q":
-        return v
-    if v != 0:
-        raise SemanticError("the trivial group has only 0", *node.span)
-    return 0
+    """The value of a literal node in spec, by spec.ops.literal's rule."""
+    form, make, error = spec.ops.literal
+    if form == "pair" and isinstance(node, PairNode):
+        parts = (build_elem(spec.left, node.left), build_elem(spec.right, node.right))
+    elif form == "num" and isinstance(node, RatNode):
+        parts = (node.value,)
+    elif isinstance(node, CallNode) and (node.name, len(node.args)) == form:
+        parts = node.args
+    else:
+        raise SemanticError(error, *node.span)
+    try:
+        return make(*parts)
+    except (gr.ShapeError, ValueError) as exc:
+        raise SemanticError(str(exc), *node.span) from None
 
 
 def build_algebra(node: Node):
@@ -319,45 +314,31 @@ def build_algebra(node: Node):
             return PmvAlgebra(UnitalGroup(spec, unit))
         except (gr.ShapeError, ValueError) as exc:
             raise SemanticError(str(exc), *node.span) from None
-    if isinstance(node, ChainNode):
-        return make_chain(node.n)
-    if isinstance(node, ProdNode):
-        left = as_finite(build_algebra(node.left), node.left.span)
-        right = as_finite(build_algebra(node.right), node.right.span)
-        return make_product(left, right)
+    if isinstance(node, (ChainNode, ProdNode)):
+        return finite(node)[1]()
     raise TypeError(f"not an algebra node: {node!r}")
 
 
-def chain_length(alg, span) -> int:
-    """n when alg is the chain Gamma(Z, n): its group is Z once every
-    trivial lex factor is dropped, with its coordinate of the strong
-    unit, so n >= 1.  Otherwise "is not a finite algebra" at span."""
-    if isinstance(alg, PmvAlgebra):
-        spec, unit = alg.spec, alg.unit
+def finite(node: Node) -> tuple:
+    """(size, build) for the table an algebra node describes: its element
+    count, and a build() that makes it; no table exists before the call.
+    chain(n) has n+1 elements and prod multiplies.  A gamma is built once,
+    as an interval algebra, and it is the chain Gamma(Z, n) when its group
+    is Z once every trivial lex factor is dropped, n the unit's coordinate
+    there: Gamma(lex(O,Z),(0,n)) is chain(n) too.  Any other node raises
+    the error its build would, in source order, or "is not a finite
+    algebra" at its span."""
+    if isinstance(node, ProdNode):
+        (m, left), (n, right) = finite(node.left), finite(node.right)
+        return m * n, lambda: make_product(left(), right())
+    if isinstance(node, ChainNode):
+        n = node.n
+    else:
+        alg = build_algebra(node)
+        spec, n = alg.spec, alg.unit
         while spec.kind == "lex" and (spec.left.ops.trivial or spec.right.ops.trivial):
             i = 1 if spec.left.ops.trivial else 0
-            spec, unit = (spec.left, spec.right)[i], unit[i]
-        if spec == gr.Z:
-            return unit
-    raise SemanticError(f"{alg} is not a finite algebra", *span)
-
-
-def finite_size(node: Node) -> int:
-    """The element count of the table an algebra node describes, with no
-    table built: chain(n) has n+1 elements, prod multiplies, and a gamma
-    is built as an interval algebra and measured.  A node that is not a
-    finite algebra raises the error its build would, in source order."""
-    if isinstance(node, ChainNode):
-        return node.n + 1
-    if isinstance(node, ProdNode):
-        return finite_size(node.left) * finite_size(node.right)
-    return chain_length(build_algebra(node), node.span) + 1
-
-
-def as_finite(alg, span=(1, 1)) -> FiniteMv:
-    """Realize an algebra as a table.  The finite intervals are those of Z
-    up to trivial lex factors: Gamma(lex(O,Z),(0,n)) is chain(n) too.
-    Any other algebra raises "is not a finite algebra" at span."""
-    if isinstance(alg, FiniteMv):
-        return alg
-    return make_chain(chain_length(alg, span))
+            spec, n = (spec.left, spec.right)[i], n[i]
+        if spec != gr.Z:
+            raise SemanticError(f"{alg} is not a finite algebra", *node.span)
+    return n + 1, lambda: make_chain(n)

@@ -481,14 +481,13 @@ class FiniteState:
 
 def extremal_states(a: FiniteMv) -> list:
     """One extremal state per maximal ideal: the quotient by a maximal
-    ideal is a finite chain, valued k/n along its order."""
+    ideal is a finite chain, valued k/n along its order.  In a chain the
+    rank of k is the number of elements below it, less k itself."""
     out = []
     for m in _maximal_masks(a, enumerate_ideal_masks(a)):
         q, proj = quotient(a, m)
-        order = sorted(range(q.size), key=lambda k: sum(q.le(j, k) for j in range(q.size)))
-        rank = {k: i for i, k in enumerate(order)}
         n = q.size - 1
-        out.append(FiniteState(tuple(Fraction(rank[proj[x]], n) for x in range(a.size))))
+        out.append(FiniteState(tuple(Fraction(q._down[k].bit_count() - 1, n) for k in proj)))
     return out
 
 

@@ -18,9 +18,10 @@ comparison.
 
 Every rule that depends on the kind of group -- arithmetic, formatting,
 sampling, the centre, strong units, ord, states, and facts such as
-linearity -- lives in one GroupOps record: one KINDS entry per base kind,
-and a record that ``_compile`` composes from the two factors for lex.  A
-new base kind is one KINDS entry plus its keyword in the DSL.
+linearity, and the DSL literal a value is read from -- lives in one
+GroupOps record: one KINDS entry per base kind, and a record that
+``_compile`` composes from the two factors for lex.  So a new base kind is
+one KINDS entry, and a new homomorphism kind one HOM_KINDS entry.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -92,11 +94,6 @@ def _is_rat(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
-def fmt_ratio(n: int, d: int) -> str:
-    """The reduced rational n/d, d > 0, as a DSL literal."""
-    return str(n) if d == 1 else f"{n}/{d}"
-
-
 class Aff:
     """The affine map t |-> slope*t + shift with slope > 0.
 
@@ -147,13 +144,9 @@ class Aff:
     def __repr__(self) -> str:
         return f"Aff(slope={self.slope!r}, shift={self.shift!r})"
 
-    @staticmethod
-    def literal(sn: int, sd: int, hn: int, hd: int) -> str:
-        """The DSL literal aff(sn/sd,hn/hd), from reduced parts."""
-        return f"aff({fmt_ratio(sn, sd)},{fmt_ratio(hn, hd)})"
-
     def __str__(self) -> str:
-        return Aff.literal(*self.parts)
+        """The DSL literal aff(slope,shift); str gives a Fraction's literal."""
+        return f"aff({self.slope},{self.shift})"
 
 
 # the slot's own setter, which Aff.__setattr__ does not guard
@@ -185,6 +178,11 @@ class GroupOps:
       returns a and join returns b; a lex meet or join whose heads tie
       keeps a's head.
     fmt(v): v as a DSL literal.
+    literal: (form, make, error), how the DSL reads a value.  form is "num"
+      (a rational), "pair" (a literal per lex factor) or a call's (keyword,
+      arity) with rational arguments, as ("aff", 2).  make(*parts) builds
+      the value or raises ShapeError or ValueError; error refuses any
+      other form.
     sample(rng, bound): a seeded value, coordinates in about [-bound, bound].
     central(v): membership in the commutative centre.
     check_unit(u): for u >= 0, raises ValueError unless u is a strong unit.
@@ -210,6 +208,7 @@ class GroupOps:
     meet: Callable
     join: Callable
     fmt: Callable[[object], str]
+    literal: tuple
     sample: Callable
     central: Callable[[object], bool]
     check_unit: Callable[[object], None]
@@ -242,6 +241,11 @@ def _num_ord(v, u):
 
 def _num_state(u):
     return lambda t: Fraction(t) / u
+
+
+def _raise(exc: Exception):
+    """Raise exc, so that a one-line rule can refuse its input."""
+    raise exc
 
 
 def _frac(n: int, d: int) -> Fraction:
@@ -408,25 +412,31 @@ KINDS = {
     "O": GroupOps(
         zero=0, shape_ok=lambda v: _is_int(v) and v == 0, sample=lambda rng, bound: 0,
         check_unit=lambda u: None, state=lambda u: None, scalars=None, small=None, large=0,
+        literal=("num", lambda v: 0 if v == 0 else _raise(
+            ValueError("the trivial group has only 0")), "O needs a numeric literal"),
         trivial=True, **_INT,
     ),
     "Z": GroupOps(
         zero=0, shape_ok=_is_int, sample=lambda rng, bound: rng.randint(-bound, bound),
         check_unit=_require(lambda u: u >= 1, "strong unit of Z must be >= 1"),
-        state=_num_state, scalars="an integer", small=1, large=1, trivial=False, **_INT,
+        state=_num_state, scalars="an integer", small=1, large=1,
+        literal=("num", lambda v: v.numerator if v.denominator == 1 else _raise(
+            ValueError(f"Z needs an integer, got {v}")), "Z needs a numeric literal"),
+        trivial=False, **_INT,
     ),
     "Q": GroupOps(
         zero=Fraction(0), shape_ok=_is_rat, add=_q_add, neg=_q_neg, cmp=_q_cmp,
         meet=lambda a, b: b if _q_cmp(a, b) > 0 else a,
         join=lambda a, b: a if _q_cmp(a, b) > 0 else b, sample=_q_sample,
         check_unit=_require(lambda u: u > 0, "strong unit of Q must be > 0"),
-        state=_num_state, scalars="an integer or Fraction", small=1, large=1, trivial=False,
-        **_NUMBER,
+        state=_num_state, scalars="an integer or Fraction", small=1, large=1,
+        literal=("num", lambda v: v, "Q needs a numeric literal"), trivial=False, **_NUMBER,
     ),
     "Aff": GroupOps(
         zero=AFF_ID, shape_ok=lambda v: isinstance(v, Aff), add=_aff_add, neg=_aff_neg,
         cmp=_aff_cmp, meet=lambda a, b: a if _aff_cmp(a, b) <= 0 else b,
         join=lambda a, b: b if _aff_cmp(a, b) <= 0 else a, fmt=Aff.__str__,
+        literal=(("aff", 2), Aff, "Aff needs aff(slope,shift)"),
         # slope first, then shift: the draw order fixes every seeded report
         sample=lambda rng, bound: _aff((*rng.choice(_AFF_SLOPES), rng.randint(-bound, bound), 1)),
         # the centre is the identity alone: (a,b)+(1,1) = (a, a+b) and
@@ -530,6 +540,7 @@ def _compile(spec: GroupSpec) -> GroupOps:
     return GroupOps(
         zero=(h_zero, tail.zero), shape_ok=shape_ok, add=add, neg=neg, cmp=cmp,
         meet=meet, join=join, fmt=fmt, sample=sample, central=central,
+        literal=("pair", lambda a, b: (a, b), f"{name} needs a pair literal"),
         check_unit=check_unit, ord=ord_, state=state, scalars=None,
         # the convex subgroups are {0} x C below C' x G, for C convex in G
         # and C' in H
@@ -601,7 +612,66 @@ class UnitalGroup:
 # ---------------------------------------------------------------------------
 # Homomorphisms
 
-_ARITY = {"zero": 0, "identity": 0, "inject_right": 0, "scale": 1, "pairwise": 2, "compose": 2}
+
+def _check_scale(h) -> None:
+    (k,) = h.payload
+    scalars = h.source.ops.scalars
+    if h.source != h.target or scalars is None:
+        raise HomError("scale is only defined on Z or Q")
+    if not h.source.ops.shape_ok(k):
+        raise HomError(f"scale on {h.source} needs {scalars} factor")
+    if k < 0:
+        raise HomError("scale factor must be >= 0 to preserve order")
+
+
+def _check_pairwise(h) -> None:
+    h1, h2 = h.payload
+    if h.source.kind != "lex" or h.target.kind != "lex":
+        raise HomError("pairwise requires lex source and target")
+    if h1.source != h.source.left or h1.target != h.target.left:
+        raise HomError("pairwise left component has wrong shape")
+    if h2.source != h.source.right or h2.target != h.target.right:
+        raise HomError("pairwise right component has wrong shape")
+    head, tail = h1.source.ops, h2.source.ops
+    if (head.small is not None and h1._raw_apply(head.small) == h1.target.ops.zero
+            and h2._raw_apply(tail.large) != h2.target.ops.zero):
+        # (small, 0) > (0, large), but their images are 0 < (0, h2(large))
+        a, b = (head.small, tail.zero), (head.zero, tail.large)
+        raise HomError(f"{h} fails join at {a!r}, {b!r}")
+
+
+def _check_compose(h) -> None:
+    h2, h1 = h.payload
+    if h1.target != h2.source:
+        raise HomError("composition shape mismatch")
+    if h1.source != h.source or h2.target != h.target:
+        raise HomError("composition endpoint mismatch")
+
+
+# The rules of one hom kind: the payload's arity (a payload of two items is
+# two GroupHoms), check(h), which raises HomError on an invalid
+# presentation, apply(h, a) on a value of the source, and fmt(h).
+HomKind = namedtuple("HomKind", "arity check apply fmt")
+_KIND_NAME = operator.attrgetter("kind")
+
+HOM_KINDS = {
+    "zero": HomKind(0, lambda h: None, lambda h, a: h.target.ops.zero, _KIND_NAME),
+    "identity": HomKind(
+        0, lambda h: h.source == h.target or _raise(HomError("identity requires source == target")),
+        lambda h, a: a, _KIND_NAME),
+    "inject_right": HomKind(
+        0, lambda h: h.target.kind == "lex" and h.target.right == h.source
+        or _raise(HomError("inject_right target must be lex(H, source)")),
+        lambda h, a: (h.target.left.ops.zero, a), _KIND_NAME),
+    "scale": HomKind(1, _check_scale, lambda h, a: _q_mul(h.payload[0], a),
+                     lambda h: f"scale({h.payload[0]})"),
+    "pairwise": HomKind(2, _check_pairwise,
+                        lambda h, a: (h.payload[0]._raw_apply(a[0]), h.payload[1]._raw_apply(a[1])),
+                        lambda h: f"pairwise({h.payload[0]},{h.payload[1]})"),
+    "compose": HomKind(2, _check_compose,
+                       lambda h, a: h.payload[0]._raw_apply(h.payload[1]._raw_apply(a)),
+                       lambda h: f"({h.payload[0]} o {h.payload[1]})"),
+}
 
 
 @dataclass(frozen=True)
@@ -611,6 +681,7 @@ class GroupHom:
     kinds: "zero", "identity", "scale" (payload k >= 0, an int on Z, an int
     or Fraction on Q), "pairwise" (payload (h1, h2), on lex pairs),
     "inject_right" (g |-> (0, g) into a lex pair), "compose" (payload (h2, h1)).
+    Each kind is one HOM_KINDS record, read for its check, apply and format.
 
     The presentation is checked at construction, endpoints and payload
     form first; then the atomic kinds, and compositions of checked homs,
@@ -629,84 +700,25 @@ class GroupHom:
     payload: tuple = ()
 
     def __post_init__(self):
-        self._check_presentation()
-        if self.kind == "pairwise":
-            h1, h2 = self.payload
-            head, tail = h1.source.ops, h2.source.ops
-            if (head.small is not None and h1._raw_apply(head.small) == h1.target.ops.zero
-                    and h2._raw_apply(tail.large) != h2.target.ops.zero):
-                # (small, 0) > (0, large), but their images are 0 < (0, h2(large))
-                a, b = (head.small, tail.zero), (head.zero, tail.large)
-                raise HomError(f"{self} fails join at {a!r}, {b!r}")
+        if not (isinstance(self.source, GroupSpec) and isinstance(self.target, GroupSpec)):
+            raise HomError(f"hom endpoints must be GroupSpecs, got {self.source!r}, {self.target!r}")
+        rules = HOM_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if rules is None:
+            raise HomError(f"unknown hom kind {self.kind!r}")
+        if not (isinstance(self.payload, tuple) and len(self.payload) == rules.arity):
+            raise HomError(f"{self.kind} takes {rules.arity} payload items, got {self.payload!r}")
+        if rules.arity == 2 and not all(isinstance(h, GroupHom) for h in self.payload):
+            raise HomError(f"{self.kind} components must be GroupHoms, got {self.payload!r}")
+        rules.check(self)
 
     def __reduce__(self):
         return (GroupHom, (self.source, self.target, self.kind, self.payload))
 
-    def _check_presentation(self):
-        if not (isinstance(self.source, GroupSpec) and isinstance(self.target, GroupSpec)):
-            raise HomError(f"hom endpoints must be GroupSpecs, got {self.source!r}, {self.target!r}")
-        arity = _ARITY.get(self.kind) if isinstance(self.kind, str) else None
-        if arity is None:
-            raise HomError(f"unknown hom kind {self.kind!r}")
-        if not (isinstance(self.payload, tuple) and len(self.payload) == arity):
-            raise HomError(f"{self.kind} takes {arity} payload items, got {self.payload!r}")
-        if arity == 2 and not all(isinstance(h, GroupHom) for h in self.payload):
-            raise HomError(f"{self.kind} components must be GroupHoms, got {self.payload!r}")
-        if self.kind == "identity":
-            if self.source != self.target:
-                raise HomError("identity requires source == target")
-        elif self.kind == "zero":
-            pass
-        elif self.kind == "scale":
-            (k,) = self.payload
-            scalars = self.source.ops.scalars
-            if self.source != self.target or scalars is None:
-                raise HomError("scale is only defined on Z or Q")
-            if not self.source.ops.shape_ok(k):
-                raise HomError(f"scale on {self.source} needs {scalars} factor")
-            if k < 0:
-                raise HomError("scale factor must be >= 0 to preserve order")
-        elif self.kind == "pairwise":
-            h1, h2 = self.payload
-            if self.source.kind != "lex" or self.target.kind != "lex":
-                raise HomError("pairwise requires lex source and target")
-            if h1.source != self.source.left or h1.target != self.target.left:
-                raise HomError("pairwise left component has wrong shape")
-            if h2.source != self.source.right or h2.target != self.target.right:
-                raise HomError("pairwise right component has wrong shape")
-        elif self.kind == "inject_right":
-            if self.target.kind != "lex" or self.target.right != self.source:
-                raise HomError("inject_right target must be lex(H, source)")
-        elif self.kind == "compose":
-            h2, h1 = self.payload
-            if h1.target != h2.source:
-                raise HomError("composition shape mismatch")
-            if h1.source != self.source or h2.target != self.target:
-                raise HomError("composition endpoint mismatch")
-
     def _raw_apply(self, a):
-        if self.kind == "identity":
-            return a
-        if self.kind == "zero":
-            return self.target.ops.zero
-        if self.kind == "scale":
-            return _q_mul(self.payload[0], a)
-        if self.kind == "pairwise":
-            h1, h2 = self.payload
-            return (h1._raw_apply(a[0]), h2._raw_apply(a[1]))
-        if self.kind == "inject_right":
-            return (self.target.left.ops.zero, a)
-        h2, h1 = self.payload
-        return h2._raw_apply(h1._raw_apply(a))
+        return HOM_KINDS[self.kind].apply(self, a)
 
     def __str__(self) -> str:
-        if self.kind == "scale":
-            return f"scale({self.payload[0]})"
-        if self.kind == "pairwise":
-            return f"pairwise({self.payload[0]},{self.payload[1]})"
-        if self.kind == "compose":
-            return f"({self.payload[0]} o {self.payload[1]})"
-        return self.kind
+        return HOM_KINDS[self.kind].fmt(self)
 
 
 def hom_apply(h: GroupHom, a):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -14,8 +15,10 @@ from lexmv import groups as gr
 from lexmv.algebra import PmvAlgebra
 from lexmv.dsl import (
     ParseError,
+    CallNode,
+    GammaNode,
+    GroupNode,
     SemanticError,
-    as_finite,
     build_algebra,
     build_elem,
     build_group,
@@ -101,6 +104,30 @@ def test_semantic_errors():
         build_algebra(parse("gamma(Z,-3)"))
 
 
+def test_a_kind_added_as_one_record_needs_no_other_edit(monkeypatch):
+    # a KINDS entry whose literal is the call toy(n): the parser, the
+    # printer and the builders take it from the record alone
+    with pytest.raises(ParseError, match="expected an element, got 'toy'"):
+        parse_elem("toy(2)")
+    z = gr.KINDS["Z"]
+    toy = dataclasses.replace(z, fmt=lambda v: f"toy({v})",
+                              literal=(("toy", 1), z.literal[1], "Toy needs toy(n)"))
+    monkeypatch.setitem(gr.KINDS, "Toy", toy)
+    node = parse("gamma(Toy,toy(2))")
+    assert node == GammaNode(group=GroupNode(kind="Toy"), unit=CallNode(name="toy", args=(2,)))
+    assert print_ast(node) == "gamma(Toy,toy(2))"
+    spec = build_group(node.group)
+    assert spec.ops is toy and build_elem(spec, node.unit) == 2
+    alg = build_algebra(node)
+    assert isinstance(alg, PmvAlgebra) and alg.unit == 2 and str(alg) == print_ast(node)
+    with pytest.raises(SemanticError, match="^1:1: Toy needs toy\\(n\\)$"):
+        build_elem(spec, parse_elem("2"))
+    with pytest.raises(SemanticError, match="^1:1: Z needs an integer, got 1/2$"):
+        build_elem(spec, parse_elem("toy(1/2)"))
+    with pytest.raises(ParseError, match="expected ','"):
+        parse_elem("aff(2)")
+
+
 def test_build_values():
     assert build_group(parse_group("lex(Q,Aff)")) == gr.lex(gr.Q, gr.AFF)
     assert build_elem(gr.Q, parse_elem("2/6")) == Fraction(1, 3)
@@ -111,11 +138,11 @@ def test_build_values():
     assert isinstance(c, finite.FiniteMv) and c.size == 9
 
 
-def test_as_finite():
-    fin = as_finite(build_algebra(parse("gamma(Z,3)")))
-    assert fin.size == 4
+def test_finite():
+    size, build = dsl.finite(parse("gamma(Z,3)"))
+    assert size == 4 and build().size == 4
     with pytest.raises(SemanticError):
-        as_finite(build_algebra(parse("gamma(lex(Z,Z),(1,0))")))
+        dsl.finite(parse("gamma(lex(Z,Z),(1,0))"))
 
 
 # Z up to trivial lex factors: each of these is the chain {0, 1, 2, 3}
@@ -123,12 +150,13 @@ TRIVIAL_FACTOR_CHAINS = ("gamma(lex(O,Z),(0,3))", "gamma(lex(Z,O),(3,0))",
                          "gamma(lex(lex(O,O),lex(Z,O)),((0,0),(3,0)))")
 
 
-def test_as_finite_drops_trivial_factors():
+def test_finite_drops_trivial_factors():
     chain = finite.make_chain(3)
     for text in TRIVIAL_FACTOR_CHAINS:
-        assert dsl.finite_size(parse(text)) == 4, text
-        assert as_finite(build_algebra(parse(text))) == chain, text
-    assert dsl.finite_size(parse("prod(gamma(lex(O,Z),(0,2)),chain(1))")) == 6
+        size, build = dsl.finite(parse(text))
+        assert size == 4 and build() == chain, text
+    size, build = dsl.finite(parse("prod(gamma(lex(O,Z),(0,2)),chain(1))"))
+    assert size == 6 and build() == finite.make_product(finite.make_chain(2), finite.make_chain(1))
     # no chain: a trivial group alone, a nontrivial pair, a non-Z residue
     # and an invalid literal
     for text, message in (("gamma(O,0)", "is not a finite algebra"),
@@ -136,10 +164,7 @@ def test_as_finite_drops_trivial_factors():
                           ("gamma(lex(O,Q),(0,3))", "is not a finite algebra"),
                           ("gamma(lex(O,Z),(1,3))", "the trivial group has only 0")):
         with pytest.raises(SemanticError, match=message):
-            dsl.finite_size(parse(text))
-    for text in ("gamma(O,0)", "gamma(lex(O,Q),(0,3))"):
-        with pytest.raises(SemanticError, match="is not a finite algebra"):
-            as_finite(build_algebra(parse(text)))
+            dsl.finite(parse(text))
 
 
 @pytest.mark.parametrize("text", TRIVIAL_FACTOR_CHAINS)
@@ -303,7 +328,8 @@ def test_cli_cap_checked_before_build(capsys, monkeypatch, tmp_path):
 
 def test_cli_builds_a_finite_gamma_once(capsys, monkeypatch):
     # a finite command's gamma is built once, as an interval algebra, and
-    # that algebra is sized against the cap and realized as a table
+    # that algebra is sized against the cap and realized as a table; a
+    # prod's gamma leaf too
     calls = []
     build = dsl.build_algebra
     monkeypatch.setattr(dsl, "build_algebra", lambda node: calls.append(node) or build(node))
@@ -311,6 +337,7 @@ def test_cli_builds_a_finite_gamma_once(capsys, monkeypatch):
         (("ideals", "gamma(Z,5)"), 0, 1),
         (("rdp2", "gamma(lex(O,Z),(0,3))"), 0, 1),
         (("ideals", "gamma(Z,100)"), 1, 1),
+        (("ideals", "prod(gamma(Z,2),chain(1))"), 0, 1),
         (("isomorphic", "gamma(Z,2)", "--other", "gamma(lex(O,Z),(0,2))"), 0, 2),
     ]:
         calls.clear()

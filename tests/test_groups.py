@@ -11,6 +11,7 @@ import pytest
 from fractions import Fraction
 
 from harness import hom_equal
+from lexmv import dsl
 from lexmv import groups as gr
 from lexmv.algebra import PmvAlgebra
 from lexmv.sampling import sample_elem
@@ -754,13 +755,18 @@ def test_library_modules_compute_with_the_ops_record():
     SymbolicIdeal wrappers and the second ideal rule _is_ideal stay gone.
     check_axioms' commutative clause makes every finite ideal normal with
     a commutative quotient, so the per-ideal scans is_normal and
-    _is_commutative stay gone; their twins are test references."""
+    _is_commutative stay gone; their twins are test references.  Each
+    group kind reads its literal, and each hom kind its rules, from one
+    record, so dsl.build_elem and GroupHom compare no ``.kind``, dsl.py
+    names no "aff", and AffNode, _ARITY, finite_size and as_finite stay
+    gone."""
     checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
     unchecked = {"_kernels", "_make"}
     retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
                "fmt_elem", "base_maximality", "_HOM_VALIDATION_SAMPLES", "hom_equal",
                "ideal_flags", "StateFn", "SymbolicIdeal", "_is_ideal", "is_normal",
-               "_is_commutative"}
+               "_is_commutative", "AffNode", "_ARITY", "finite_size", "as_finite"}
+    kind_free = {("dsl.py", "build_elem"), ("groups.py", "GroupHom")}
     retired_hom_methods = {"_sampled_validation", "_injective", "_null"}
     modules = sorted(Path(gr.__file__).parent.glob("*.py"))
     assert len(modules) >= 10
@@ -776,7 +782,16 @@ def test_library_modules_compute_with_the_ops_record():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Attribute):
                     assert node.attr not in unchecked, f"{path.name}:{node.lineno} reads {node.attr}"
+        if path.name == "dsl.py":
+            for node in ast.walk(tree):
+                assert not (isinstance(node, ast.Constant) and node.value == "aff"), node.lineno
         for node in tree.body:
+            if (path.name, getattr(node, "name", None)) in kind_free:
+                kind_free.remove((path.name, node.name))
+                for cmp in (n for n in ast.walk(node) if isinstance(n, ast.Compare)):
+                    operands = [cmp.left, *cmp.comparators]
+                    assert not any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in operands), (
+                        f"{path.name}:{cmp.lineno} compares a .kind in {node.name}")
             if isinstance(node, ast.ClassDef) and node.name == "GroupHom":
                 methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
                 assert not methods & retired_hom_methods, f"GroupHom defines {methods}"
@@ -790,6 +805,7 @@ def test_library_modules_compute_with_the_ops_record():
             else:
                 continue
             assert not names & retired, f"{path.name}:{node.lineno} defines {names & retired}"
+    assert not kind_free, f"not found: {kind_free}"
 
 
 def test_scale_presentation_types():
@@ -992,3 +1008,17 @@ def test_record_ord_and_state_match_reference_twins():
                 if ours is not None:
                     assert repr(ours(x)) == repr(ref(x)), (spec, x, u)
     assert units > 150
+
+
+def test_fmt_and_the_literal_rule_are_two_halves_of_one_record():
+    # every value a record formats, its literal rule reads back, and the
+    # printer prints the parsed literal as the record formatted it
+    for seed, spec in enumerate(TWIN_SPECS):
+        rng = random.Random(seed)
+        for bound in (0, 1, 3, 25):
+            for _ in range(10):
+                v = spec.ops.sample(rng, bound)
+                text = spec.ops.fmt(v)
+                node = dsl.parse_elem(text)
+                assert dsl.build_elem(spec, node) == v, (spec, text)
+                assert dsl.print_ast(node) == text, (spec, text)
