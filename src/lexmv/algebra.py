@@ -143,9 +143,6 @@ class PmvElem:
     def tilde(self) -> "PmvElem":
         return self.algebra._kernels.tilde(self.value)
 
-    def negations(self) -> tuple["PmvElem", "PmvElem"]:
-        return (self.minus, self.tilde)
-
     def join(self, other: "PmvElem") -> "PmvElem":
         if other.algebra is not self.algebra:
             self._same(other)

@@ -189,7 +189,7 @@ def _run_command(args) -> Report:
             rep.fail("radical-chain", [rep.details["rad"], rep.details["infinit"]])
     elif cmd == "states":
         states = finite.extremal_states(a)
-        rows = [{a.label(x): str(s(x)) for x in range(a.size)} for s in states]
+        rows = [{a.labels[x]: str(s(x)) for x in range(a.size)} for s in states]
         rep.details["count"] = len(states)
         rep.details["states"] = rows
         for s, row in zip(states, rows):
@@ -224,7 +224,7 @@ def _run_command(args) -> Report:
         ok, bij = finite.brute_isomorphic(a, b)
         rep.details["sizes"] = [a.size, b.size]
         if ok:
-            rep.details["bijection"] = {a.label(x): b.label(bij[x]) for x in range(a.size)}
+            rep.details["bijection"] = {a.labels[x]: b.labels[bij[x]] for x in range(a.size)}
         else:
             rep.fail("no-isomorphism", [str(a), str(b)])
     return rep

@@ -323,11 +323,10 @@ def finite(node: Node) -> tuple:
     """(size, build) for the table an algebra node describes: its element
     count, and a build() that makes it; no table exists before the call.
     chain(n) has n+1 elements and prod multiplies.  A gamma is built once,
-    as an interval algebra, and it is the chain Gamma(Z, n) when its group
-    is Z once every trivial lex factor is dropped, n the unit's coordinate
-    there: Gamma(lex(O,Z),(0,n)) is chain(n) too.  Any other node raises
-    the error its build would, in source order, or "is not a finite
-    algebra" at its span."""
+    and is chain(n) when its group's rule GroupOps.chain says so, as for
+    Gamma(Z, n) and Gamma(lex(O,Z),(0,n)).  Any other node raises the
+    error its build would, in source order, or "is not a finite algebra"
+    at its span."""
     if isinstance(node, ProdNode):
         (m, left), (n, right) = finite(node.left), finite(node.right)
         return m * n, lambda: make_product(left(), right())
@@ -335,10 +334,7 @@ def finite(node: Node) -> tuple:
         n = node.n
     else:
         alg = build_algebra(node)
-        spec, n = alg.spec, alg.unit
-        while spec.kind == "lex" and (spec.left.ops.trivial or spec.right.ops.trivial):
-            i = 1 if spec.left.ops.trivial else 0
-            spec, n = (spec.left, spec.right)[i], n[i]
-        if spec != gr.Z:
+        n = alg.ops.chain(alg.unit)
+        if n is None:
             raise SemanticError(f"{alg} is not a finite algebra", *node.span)
     return n + 1, lambda: make_chain(n)

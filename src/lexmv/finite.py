@@ -107,9 +107,6 @@ class FiniteMv:
                 return n
         return None
 
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
     def mask_labels(self, mask: int) -> list:
         return [self.labels[i] for i in range(self.size) if mask >> i & 1]
 
@@ -129,27 +126,27 @@ def check_axioms(a: FiniteMv) -> Report:
     if any(not (0 <= v < n) for v in flat):
         return rep.fail("closure", ["index out of range"])
     op, ng, zr, on = a.oplus, a.neg, a.zero, a.one
-    w = a.label
+    w = a.labels
     for x in range(n):
         if op[x][zr] != x or op[zr][x] != x:
-            return rep.fail("A2", [w(x)])
+            return rep.fail("A2", [w[x]])
         if op[x][on] != on or op[on][x] != on:
-            return rep.fail("A3", [w(x)])
+            return rep.fail("A3", [w[x]])
         if ng[ng[x]] != x:
-            return rep.fail("A8", [w(x)])
+            return rep.fail("A8", [w[x]])
         for y in range(n):
             jxy = op[x][a.odot(ng[x], y)]
             if jxy != op[y][a.odot(ng[y], x)]:
-                return rep.fail("A6", [w(x), w(y)])
+                return rep.fail("A6", [w[x], w[y]])
             if a.odot(x, op[ng[x]][y]) != a.odot(y, op[ng[y]][x]):
-                return rep.fail("A7", [w(x), w(y)])
+                return rep.fail("A7", [w[x], w[y]])
             if op[x][y] != op[y][x]:
-                return rep.fail("commutative", [w(x), w(y)])
+                return rep.fail("commutative", [w[x], w[y]])
             for z in range(n):
                 if op[x][op[y][z]] != op[op[x][y]][z]:
-                    return rep.fail("A1", [w(x), w(y), w(z)])
+                    return rep.fail("A1", [w[x], w[y], w[z]])
     if ng[on] != zr:
-        return rep.fail("A4", [w(on)])
+        return rep.fail("A4", [w[on]])
     return rep
 
 
@@ -195,11 +192,11 @@ def make_subalgebra(a: FiniteMv, subset) -> FiniteMv:
         raise TableError("subset must contain 0 and 1")
     for x in elems:
         if a.neg[x] not in pos:
-            raise TableError(f"subset not closed under neg at {a.label(x)}")
+            raise TableError(f"subset not closed under neg at {a.labels[x]}")
         for y in elems:
             if a.oplus[x][y] not in pos:
                 raise TableError(
-                    f"subset not closed under oplus at ({a.label(x)}, {a.label(y)})"
+                    f"subset not closed under oplus at ({a.labels[x]}, {a.labels[y]})"
                 )
     m = len(elems)
     op = tuple(tuple(pos[a.oplus[x][y]] for y in elems) for x in elems)

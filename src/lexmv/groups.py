@@ -17,8 +17,8 @@ shifts by an affine map, both of which preserve the lexicographic
 comparison.
 
 Every rule that depends on the kind of group -- arithmetic, formatting,
-sampling, the centre, strong units, ord, states, and facts such as
-linearity, and the DSL literal a value is read from -- lives in one
+sampling and the interval draw, the centre, strong units, ord, states,
+finite chains, facts such as linearity, and DSL literals -- lives in one
 GroupOps record: one KINDS entry per base kind, and a record that
 ``_compile`` composes from the two factors for lex.  So a new base kind is
 one KINDS entry, and a new homomorphism kind one HOM_KINDS entry.
@@ -184,6 +184,9 @@ class GroupOps:
       the value or raises ShapeError or ValueError; error refuses any
       other form.
     sample(rng, bound): a seeded value, coordinates in about [-bound, bound].
+    draw(rng, bound, u, mode): the kind's own draw from [0, u] for the
+      interval sampler's modes 2..5, or None where it clamps a sample.
+    chain(u): n when Gamma(G, u) is the chain Gamma(Z, n), else None.
     central(v): membership in the commutative centre.
     check_unit(u): for u >= 0, raises ValueError unless u is a strong unit.
     ord(v, u): for 0 <= v <= u, the least n with n*v >= u, or math.inf.
@@ -210,6 +213,8 @@ class GroupOps:
     fmt: Callable[[object], str]
     literal: tuple
     sample: Callable
+    draw: Callable
+    chain: Callable
     central: Callable[[object], bool]
     check_unit: Callable[[object], None]
     ord: Callable
@@ -398,6 +403,8 @@ def _require(ok, message: str):
 # the sampler's slopes, as (numerator, denominator)
 _AFF_SLOPES = ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))
 
+# a kind whose interval draws are clamped samples, and no interval a chain
+_UNDRAWN = dict(draw=lambda rng, bound, u, mode: None, chain=lambda u: None)
 _NUMBER = dict(fmt=str, central=lambda v: True, ord=_num_ord, abelian=True, linear=True,
                archimedean=True)
 _INT = dict(add=operator.add, neg=operator.neg, cmp=_num_cmp, meet=lambda a, b: b if b < a else a,
@@ -414,10 +421,13 @@ KINDS = {
         check_unit=lambda u: None, state=lambda u: None, scalars=None, small=None, large=0,
         literal=("num", lambda v: 0 if v == 0 else _raise(
             ValueError("the trivial group has only 0")), "O needs a numeric literal"),
-        trivial=True, **_INT,
+        trivial=True, **_INT, **_UNDRAWN,
     ),
     "Z": GroupOps(
         zero=0, shape_ok=_is_int, sample=lambda rng, bound: rng.randint(-bound, bound),
+        # uniform over the interval: clamping a wide range would pile the
+        # mass on the endpoints of short chains
+        draw=lambda rng, bound, u, mode: rng.randint(0, min(u, bound)), chain=lambda u: u,
         check_unit=_require(lambda u: u >= 1, "strong unit of Z must be >= 1"),
         state=_num_state, scalars="an integer", small=1, large=1,
         literal=("num", lambda v: v.numerator if v.denominator == 1 else _raise(
@@ -427,7 +437,7 @@ KINDS = {
     "Q": GroupOps(
         zero=Fraction(0), shape_ok=_is_rat, add=_q_add, neg=_q_neg, cmp=_q_cmp,
         meet=lambda a, b: b if _q_cmp(a, b) > 0 else a,
-        join=lambda a, b: a if _q_cmp(a, b) > 0 else b, sample=_q_sample,
+        join=lambda a, b: a if _q_cmp(a, b) > 0 else b, sample=_q_sample, **_UNDRAWN,
         check_unit=_require(lambda u: u > 0, "strong unit of Q must be > 0"),
         state=_num_state, scalars="an integer or Fraction", small=1, large=1,
         literal=("num", lambda v: v, "Q needs a numeric literal"), trivial=False, **_NUMBER,
@@ -444,7 +454,7 @@ KINDS = {
         central=lambda v: v == AFF_ID,
         check_unit=_require(lambda u: u.parts[0] > u.parts[1],
                             "strong unit of Aff must have slope > 1"),
-        ord=_aff_ord, state=lambda u: None, scalars=None, abelian=False, linear=True,
+        ord=_aff_ord, state=lambda u: None, scalars=None, abelian=False, linear=True, **_UNDRAWN,
         archimedean=False, trivial=False,  # n*(1,1) = (1,n) < (2,0) for every n
         # convex subgroups: {id} < the translations (1,b) < Aff
         small=_aff((1, 1, 1, 1)), large=_aff((2, 1, 0, 1)),
@@ -468,7 +478,7 @@ def _compile(spec: GroupSpec) -> GroupOps:
     t_ok, t_add, t_neg, t_cmp = tail.shape_ok, tail.add, tail.neg, tail.cmp
     t_meet, t_join = tail.meet, tail.join
     h_fmt, t_fmt, h_sample, t_sample = head.fmt, tail.fmt, head.sample, tail.sample
-    h_zero = head.zero
+    h_zero, t_zero = head.zero, tail.zero
     name = str(spec)  # the message's name, not spec: spec.ops holds this record
 
     def shape_ok(v) -> bool:
@@ -500,6 +510,19 @@ def _compile(spec: GroupSpec) -> GroupOps:
 
     def sample(rng, bound):
         return (h_sample(rng, bound), t_sample(rng, bound))
+
+    def draw(rng, bound, u, mode):
+        # the head-zero slice (0, g \/ 0) /\ u; mode 3 its complement u - x
+        if mode > 3:
+            return None
+        low = meet((h_zero, t_join(t_sample(rng, bound), t_zero)), u)
+        return low if mode == 2 else add(u, neg(low))
+
+    def chain(u):
+        # a trivial factor adds nothing: Gamma(lex(O,Z),(0,n)) is chain(n)
+        if head.trivial:
+            return tail.chain(u[1])
+        return head.chain(u[0]) if tail.trivial else None
 
     def central(v) -> bool:
         return head.central(v[0]) and tail.central(v[1])
@@ -538,8 +561,8 @@ def _compile(spec: GroupSpec) -> GroupOps:
         return None if s is None else lambda t: s(t[i])
 
     return GroupOps(
-        zero=(h_zero, tail.zero), shape_ok=shape_ok, add=add, neg=neg, cmp=cmp,
-        meet=meet, join=join, fmt=fmt, sample=sample, central=central,
+        zero=(h_zero, t_zero), shape_ok=shape_ok, add=add, neg=neg, cmp=cmp, meet=meet, join=join,
+        fmt=fmt, sample=sample, draw=draw, chain=chain, central=central,
         literal=("pair", lambda a, b: (a, b), f"{name} needs a pair literal"),
         check_unit=check_unit, ord=ord_, state=state, scalars=None,
         # the convex subgroups are {0} x C below C' x G, for C convex in G

@@ -307,9 +307,6 @@ class Mapping:
     preimage: Optional[Callable[[PmvElem], PmvElem]] = None
     description: str = ""
 
-    def __call__(self, x: PmvElem) -> PmvElem:
-        return self.fn(x)
-
 
 def build_phi(w: PerfectWitness) -> Mapping:
     """phi(x) = (t, x - c_t) into Gamma(H lex G, (u, b)) with b = 1 - c_u.

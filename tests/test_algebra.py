@@ -74,10 +74,10 @@ def test_odot():
 
 def test_negations():
     x = Z4.elem(1)
-    assert x.negations() == (Z4.elem(3), Z4.elem(3))
+    assert (x.minus, x.tilde) == (Z4.elem(3), Z4.elem(3))
     for k in (-3, 0, 4):
         y = L21.elem((1, k))
-        assert y.negations() == (L21.elem((1, 1 - k)), L21.elem((1, 1 - k)))
+        assert (y.minus, y.tilde) == (L21.elem((1, 1 - k)), L21.elem((1, 1 - k)))
     na = alg(ZAFF, (1, gr.Aff(2, 0)))
     z = na.elem((0, gr.Aff(1, 1)))
     assert z.minus == na.elem((1, gr.Aff(2, -2)))

@@ -13,6 +13,7 @@ from fractions import Fraction
 from lexmv import cli, dsl, finite
 from lexmv import groups as gr
 from lexmv.algebra import PmvAlgebra
+from lexmv.sampling import sample_elem
 from lexmv.dsl import (
     ParseError,
     CallNode,
@@ -104,7 +105,7 @@ def test_semantic_errors():
         build_algebra(parse("gamma(Z,-3)"))
 
 
-def test_a_kind_added_as_one_record_needs_no_other_edit(monkeypatch):
+def test_a_kind_added_as_one_record_needs_no_other_edit(monkeypatch, capsys):
     # a KINDS entry whose literal is the call toy(n): the parser, the
     # printer and the builders take it from the record alone
     with pytest.raises(ParseError, match="expected an element, got 'toy'"):
@@ -126,6 +127,15 @@ def test_a_kind_added_as_one_record_needs_no_other_edit(monkeypatch):
         build_elem(spec, parse_elem("toy(1/2)"))
     with pytest.raises(ParseError, match="expected ','"):
         parse_elem("aff(2)")
+    # the copy keeps Z's interval draw and chain rule: it samples like
+    # Gamma(Z, 7) value for value, and Gamma(Toy, 4) is the chain of five
+    toy7, z7 = build_algebra(parse("gamma(Toy,toy(7))")), build_algebra(parse("gamma(Z,7)"))
+    ours, ref = random.Random(0), random.Random(0)
+    assert [sample_elem(toy7, ours).value for _ in range(6000)] == [
+        sample_elem(z7, ref).value for _ in range(6000)]
+    assert dsl.finite(parse("gamma(Toy,toy(4))"))[0] == 5
+    assert run_cli(capsys, "run", "ideals", "gamma(Toy,toy(4))") == run_cli(
+        capsys, "run", "ideals", "gamma(Z,4)")
 
 
 def test_build_values():

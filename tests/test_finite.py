@@ -55,7 +55,7 @@ def test_make_product():
     assert P22.size == 9
     i = lambda x, y: x * 3 + y
     assert P22.oplus[i(1, 0)][i(1, 2)] == i(2, 2)
-    assert P22.label(i(1, 2)) == "(1,2)"
+    assert P22.labels[i(1, 2)] == "(1,2)"
 
 
 def test_make_subalgebra():

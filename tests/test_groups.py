@@ -14,7 +14,8 @@ from harness import hom_equal
 from lexmv import dsl
 from lexmv import groups as gr
 from lexmv.algebra import PmvAlgebra
-from lexmv.sampling import sample_elem
+from lexmv.sampling import DEFAULT_BOUND, clamp, sample_elem, sample_zero_slice
+from test_golden import CASES
 
 
 ZZ = gr.lex(gr.Z, gr.Z)
@@ -756,17 +757,18 @@ def test_library_modules_compute_with_the_ops_record():
     check_axioms' commutative clause makes every finite ideal normal with
     a commutative quotient, so the per-ideal scans is_normal and
     _is_commutative stay gone; their twins are test references.  Each
-    group kind reads its literal, and each hom kind its rules, from one
-    record, so dsl.build_elem and GroupHom compare no ``.kind``, dsl.py
-    names no "aff", and AffNode, _ARITY, finite_size and as_finite stay
-    gone."""
+    group kind reads its literal, its interval draw and its chain rule, and
+    each hom kind its rules, from one record, so sampling.py,
+    dsl.build_elem, dsl.finite and GroupHom compare no ``.kind``, dsl.py
+    names no "aff" and reads no gr.Z, and AffNode, _ARITY, finite_size and
+    as_finite stay gone."""
     checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
     unchecked = {"_kernels", "_make"}
     retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
                "fmt_elem", "base_maximality", "_HOM_VALIDATION_SAMPLES", "hom_equal",
                "ideal_flags", "StateFn", "SymbolicIdeal", "_is_ideal", "is_normal",
                "_is_commutative", "AffNode", "_ARITY", "finite_size", "as_finite"}
-    kind_free = {("dsl.py", "build_elem"), ("groups.py", "GroupHom")}
+    kind_free = {("dsl.py", "build_elem"), ("dsl.py", "finite"), ("groups.py", "GroupHom")}
     retired_hom_methods = {"_sampled_validation", "_injective", "_null"}
     modules = sorted(Path(gr.__file__).parent.glob("*.py"))
     assert len(modules) >= 10
@@ -785,13 +787,19 @@ def test_library_modules_compute_with_the_ops_record():
         if path.name == "dsl.py":
             for node in ast.walk(tree):
                 assert not (isinstance(node, ast.Constant) and node.value == "aff"), node.lineno
+                assert not (isinstance(node, ast.Attribute) and node.attr == "Z"
+                            and getattr(node.value, "id", None) == "gr"), f"dsl.py:{node.lineno} reads gr.Z"
+        # the whole of sampling.py, and the named definitions elsewhere
+        scopes = [tree] if path.name == "sampling.py" else [
+            n for n in tree.body if (path.name, getattr(n, "name", None)) in kind_free]
+        for scope in scopes:
+            name = getattr(scope, "name", path.name)
+            kind_free.discard((path.name, name))
+            for cmp in (n for n in ast.walk(scope) if isinstance(n, ast.Compare)):
+                operands = [cmp.left, *cmp.comparators]
+                assert not any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in operands), (
+                    f"{path.name}:{cmp.lineno} compares a .kind in {name}")
         for node in tree.body:
-            if (path.name, getattr(node, "name", None)) in kind_free:
-                kind_free.remove((path.name, node.name))
-                for cmp in (n for n in ast.walk(node) if isinstance(n, ast.Compare)):
-                    operands = [cmp.left, *cmp.comparators]
-                    assert not any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in operands), (
-                        f"{path.name}:{cmp.lineno} compares a .kind in {node.name}")
             if isinstance(node, ast.ClassDef) and node.name == "GroupHom":
                 methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
                 assert not methods & retired_hom_methods, f"GroupHom defines {methods}"
@@ -988,6 +996,82 @@ def test_record_sampler_matches_reference_draw_for_draw():
                 assert repr(gr.sample_group_elem(spec, ours, bound)) == repr(
                     ref_sample_group_elem(spec, ref, bound)), (spec, bound)
         assert ours.random() == ref.random(), spec
+
+
+# Reference twins of the interval sampler and the finiteness rule, written
+# per kind outside the records, as branches on spec.kind.
+
+
+def ref_sample_zero_slice(alg, rng, bound=DEFAULT_BOUND):
+    spec = alg.spec
+    tail_ops = spec.right.ops
+    tail = tail_ops.join(tail_ops.sample(rng, bound), tail_ops.zero)
+    return clamp(alg, (spec.left.ops.zero, tail))
+
+
+def ref_sample_elem(alg, rng, bound=DEFAULT_BOUND):
+    spec = alg.spec
+    mode = rng.randrange(6)
+    if mode == 0:
+        return alg.zero
+    if mode == 1:
+        return alg.one
+    if spec.kind == "lex" and mode in (2, 3):
+        low = ref_sample_zero_slice(alg, rng, bound)
+        return low if mode == 2 else low.minus
+    if spec.kind == "Z":
+        return alg.elem(rng.randint(0, min(alg.unit, bound)))
+    return clamp(alg, alg.ops.sample(rng, bound))
+
+
+def ref_chain(spec, n):
+    """n when Gamma(spec, n) is a chain Gamma(Z, n), trivial lex factors
+    dropped, else None."""
+    while spec.kind == "lex" and (spec.left.ops.trivial or spec.right.ops.trivial):
+        i = 1 if spec.left.ops.trivial else 0
+        spec, n = (spec.left, spec.right)[i], n[i]
+    return n if spec == gr.Z else None
+
+
+def golden_gammas():
+    """(algebra, bound) for every gamma that a golden check-axioms case builds."""
+    out = {}
+    for argv in CASES:
+        if argv[0] != "check-axioms" or len(argv) < 2 or not argv[1].startswith("gamma("):
+            continue
+        try:
+            alg = dsl.build_algebra(dsl.parse(argv[1]))
+        except dsl.ParseError:
+            continue
+        bound = int(argv[argv.index("--bound") + 1]) if "--bound" in argv else DEFAULT_BOUND
+        out[argv[1], bound] = alg, bound
+    return list(out.values())
+
+
+def test_interval_sampler_matches_reference_draw_for_draw():
+    algs = golden_gammas()
+    assert len(algs) == 15 and sum(a.spec.kind == "lex" for a, _ in algs) == 10
+    for seed, (alg, bound) in enumerate(algs):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            assert repr(sample_elem(alg, ours, bound).value) == repr(
+                ref_sample_elem(alg, ref, bound).value), alg
+        if alg.spec.kind == "lex":
+            for _ in range(200):
+                assert repr(sample_zero_slice(alg, ours, bound).value) == repr(
+                    ref_sample_zero_slice(alg, ref, bound).value), alg
+        assert ours.random() == ref.random(), alg
+
+
+def test_record_chain_matches_reference_twin():
+    rng = random.Random(59)
+    chains = 0
+    for spec in TWIN_SPECS:
+        for v in twin_pool(spec, rng, 30):
+            n = spec.ops.chain(v)
+            assert n == ref_chain(spec, v), (spec, v)
+            chains += n is not None
+    assert chains >= 60
 
 
 def test_record_ord_and_state_match_reference_twins():

@@ -1,5 +1,6 @@
 """The one suite runner: verdicts at zero samples and the verdict merge rule."""
 
+import dataclasses
 import json
 
 import pytest
@@ -128,3 +129,43 @@ def test_indexer_values_are_shape_checked_where_they_enter(monkeypatch):
                         lambda *a: Report("check-decomposition", "pass"))
     with pytest.raises(gr.ShapeError):
         theorem_suite(bad, 50)
+
+
+def _shifted_indexer(monkeypatch):
+    # the decomposition would fail first, so it is passed; then two
+    # head-zero elements sum outside the shifted M_0
+    monkeypatch.setattr(witnesses, "check_decomposition",
+                        lambda *a: Report("check-decomposition", "pass"))
+    return PerfectWitness(L20, lambda x: min(x.value[0] + 1, 2), W20.family, "strong")
+
+
+def _halved_state(monkeypatch):
+    s = state_on_lex(L20)
+    monkeypatch.setattr(witnesses, "state_on_lex", lambda la: lambda x: s(x) / 2)
+    return W20
+
+
+def _shifted_quotient(monkeypatch):
+    base = L20.base_algebra
+    shifted = dataclasses.replace(witnesses.quotient_to_base(L20),
+                                  fn=lambda x: base.elem(min(x.value[0] + 1, 2)))
+    monkeypatch.setattr(witnesses, "quotient_to_base", lambda la: shifted)
+    return W20
+
+
+# theorem_suite's own fail exits, past the decomposition: the clause table,
+# v-state and vii-quotient, each with the clause that fires and the detail
+# that a completed part would have recorded
+THEOREM_EXITS = [
+    (_shifted_indexer, "vi-sum-closed", "v-state"),
+    (_halved_state, "normalization", "v-state"),
+    (_shifted_quotient, "zero", "vii-quotient"),
+]
+
+
+@pytest.mark.parametrize("broken, clause, part", THEOREM_EXITS)
+def test_theorem_suite_fails_at_each_of_its_own_exits(monkeypatch, broken, clause, part):
+    rep = theorem_suite(broken(monkeypatch), 100)
+    assert rep.verdict == "fail"
+    assert [c["clause"] for c in rep.counterexamples] == [clause]
+    assert part not in rep.details and "algebra" not in rep.details
