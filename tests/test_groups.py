@@ -1050,7 +1050,7 @@ def golden_gammas():
 
 def test_interval_sampler_matches_reference_draw_for_draw():
     algs = golden_gammas()
-    assert len(algs) == 15 and sum(a.spec.kind == "lex" for a, _ in algs) == 10
+    assert len(algs) >= 15 and sum(a.spec.kind == "lex" for a, _ in algs) >= 10
     for seed, (alg, bound) in enumerate(algs):
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(2000):
