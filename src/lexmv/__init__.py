@@ -55,7 +55,6 @@ from .witnesses import (
     check_cyclic,
     check_decomposition,
     classify,
-    canonical_lex_ideal,
     extract_morphism,
     lift_morphism,
     midpoint_certificate,

@@ -116,8 +116,8 @@ def _load(args) -> object:
 
 def _witness(args, la: LexAlgebra) -> tuple:
     """(kind, canonical witness): --kind, else strong exactly when la's
-    unit has the strong form."""
-    kind = args.kind or ("strong" if la.strong_form else "weak")
+    offset is 0."""
+    kind = args.kind or ("strong" if la.zero_offset else "weak")
     return kind, canonical_witness(la, kind)
 
 

@@ -2,11 +2,12 @@
 
 A LexAlgebra is the interval algebra Gamma(H lex G, (u, b)) split into its
 base (H, u), fiber G and offset b.  The offset b = 0 is the strong case;
-b = 1 - c_u in general.  Decompositions and ideals of these infinite
-algebras are handled symbolically: a decomposition is an indexing
-function, an ideal is a membership predicate, and every universally
-quantified claim becomes a seeded sampled check returning a structured
-report with the failing witness when there is one.
+b = 1 - c_u in general.  Decompositions of these infinite algebras are
+handled symbolically: a decomposition is an indexing function, its zero
+slice M_0 (the normal, prime ideal with quotient Gamma(H, u)) is the set
+the indexer sends to 0, and every universally quantified claim becomes a
+seeded sampled check returning a structured report with the failing
+witness when there is one.  theorem_suite checks M_0's ideal laws.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class LexAlgebra:
         return PmvAlgebra(self.base)
 
     @property
-    def strong_form(self) -> bool:
+    def zero_offset(self) -> bool:
         ops = self.fiber.ops
         return ops.cmp(self.offset, ops.zero) == 0
 
@@ -109,7 +110,7 @@ def canonical_witness(lexalg: LexAlgebra, kind: str) -> PerfectWitness:
     The strong kind forces offset 0: otherwise c_u = (u, 0) differs from
     the top element (u, b).
     """
-    if kind == "strong" and not lexalg.strong_form:
+    if kind == "strong" and not lexalg.zero_offset:
         raise WitnessError(
             f"strong witness on {lexalg} impossible: c_u = (u,0) != (u,b) = 1"
         )
@@ -250,9 +251,10 @@ def theorem_suite(
         return (w.indexer(a) != v or a.partial_add(ct) != x) and (x, h.fmt(t))
 
     def normal(x, y, i, *_):
+        # x (+) i = k (+) x and i (+) x = x (+) k2, with k and k2 in M_0
         xi, ix = x.oplus(i), i.oplus(x)
         k, k2 = residuals(xi, x)[0], residuals(ix, x)[1]
-        return not (in_m0(k) and k.oplus(x) == xi and in_m0(k2)) and (x, i)
+        return not (in_m0(k) and k.oplus(x) == xi and in_m0(k2) and x.oplus(k2) == ix) and (x, i)
 
     clauses = [
         ("ii-slice-sum", slice_sum),
@@ -275,7 +277,7 @@ def theorem_suite(
     if rep.merge(run_suite("theorem-suite", sample_budget, seed, draw, clauses)).verdict == "fail":
         return rep
     # (v) and (vii) need the offset-0 form; the state is s0 o head
-    if not la.strong_form:
+    if not la.zero_offset:
         rep.details["v-state"] = "skipped: nonzero offset"
         rep.details["vii-quotient"] = "skipped: nonzero offset"
     else:
@@ -373,62 +375,12 @@ def verify_hom(
 
 
 # ---------------------------------------------------------------------------
-# Canonical ideal, quotient, states
-
-
-def canonical_lex_ideal(
-    lexalg: LexAlgebra, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
-) -> tuple[Callable[[PmvElem], bool], Report]:
-    """(contains, report): the membership predicate of I = {(0, g): g >= 0}, and a
-    sampled report on closure, normality, primality, strictness and commutativity."""
-    if not lexalg.strong_form:
-        raise WitnessError("canonical ideal analysis is stated for offset 0")
-    alg = lexalg.algebra
-    h, f = lexalg.base.spec.ops, lexalg.fiber.ops
-
-    def contains(x: PmvElem) -> bool:
-        head, tail = x.value
-        return h.cmp(head, h.zero) == 0 and f.cmp(tail, f.zero) >= 0
-
-    head = lambda e: e.value[0]
-
-    def draw(rng):
-        x = sample_elem(alg, rng, bound)
-        y = sample_elem(alg, rng, bound)
-        return x, y, contains(x), contains(y)
-
-    def abnormal(x, y, cx, cy):
-        # normality: x (+) i = j (+) x and i (+) x = x (+) j' with j, j' in I
-        if not cy:
-            return None
-        xi = x.oplus(y)
-        j = residuals(xi, x)[0]
-        if not contains(j) or j.oplus(x) != xi:
-            return x, y
-        ix = y.oplus(x)
-        j2 = residuals(ix, x)[1]
-        return (not contains(j2) or x.oplus(j2) != ix) and (y, x)
-
-    clauses = [
-        ("downward-closed", lambda x, y, cx, cy: cy and x.le(y) and not cx and (x, y)),
-        ("oplus-closed", lambda x, y, cx, cy: cx and cy and not contains(x.oplus(y)) and (x, y)),
-        ("normality", abnormal),
-        ("prime", lambda x, y, cx, cy: contains(x.meet(y)) and not (cx or cy) and (x, y)),
-        # strictness: quotient order is the head order
-        ("strict", lambda x, y, *_: h.cmp(head(x), head(y)) < 0
-         and not x.lt(y) and (x, y)),
-        ("commutative-quotient", lambda x, y, *_: head(x.oplus(y)) != head(y.oplus(x))
-         and (x, y)),
-    ]
-    rep = run_suite("canonical-lex-ideal", sample_budget, seed, draw, clauses)
-    # the ideal is described whatever the verdict
-    rep.details["ideal"] = "{(0,g): g >= 0}"
-    return contains, rep
+# Quotient and states
 
 
 def quotient_to_base(lexalg: LexAlgebra) -> Mapping:
-    """The head projection onto Gamma(H, u); its kernel is the canonical ideal."""
-    if not lexalg.strong_form:
+    """The head projection onto Gamma(H, u); its kernel is the zero slice M_0."""
+    if not lexalg.zero_offset:
         raise WitnessError("quotient-to-base is stated for offset 0")
     alg = lexalg.algebra
     base_alg = lexalg.base_algebra
@@ -457,8 +409,8 @@ def unique_state(alg: PmvAlgebra) -> Callable[[PmvElem], Fraction]:
 
 
 def state_on_lex(lexalg: LexAlgebra) -> Callable[[PmvElem], Fraction]:
-    """s = s0 o head as a plain callable; it vanishes on the canonical ideal."""
-    if not lexalg.strong_form:
+    """s = s0 o head as a plain callable; it vanishes on the zero slice M_0."""
+    if not lexalg.zero_offset:
         raise WitnessError("state_on_lex is stated for offset 0")
     s0 = _closed_form_state(lexalg.base)
     return lambda x: s0(x.value[0])
@@ -547,7 +499,7 @@ def extract_morphism(f: Mapping, samples: int = 200, seed: int = 0) -> GroupHom:
     matched against the closed hom catalog and validated on samples."""
     src_la = LexAlgebra.from_algebra(f.source)
     tgt_la = LexAlgebra.from_algebra(f.target)
-    if src_la.base != tgt_la.base or not (src_la.strong_form and tgt_la.strong_form):
+    if src_la.base != tgt_la.base or not (src_la.zero_offset and tgt_la.zero_offset):
         raise ExtractionError("extraction needs identical bases and offset 0")
     fs, ft = src_la.fiber.ops, tgt_la.fiber.ops
     h = src_la.base.spec.ops

@@ -2,7 +2,7 @@
 
 ``golden_cli.json`` pins the exit code, stdout and stderr of every
 in-process ``cli.main`` call in CASES.  ``golden_suites.json`` pins the
-canonical JSON of every sampled suite called directly: the nine suites on
+canonical JSON of every sampled suite called directly: the eight suites on
 the catalog algebras, some deliberately broken inputs, and every report
 of the mutation suite, so that failing reports are pinned as well.  The
 tests only compare; they never write the files.  After a deliberate
@@ -19,6 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+from harness import head_zero
 from lexmv import axioms, cli, dsl
 from lexmv import witnesses as W
 from lexmv.reports import canonical_json
@@ -182,15 +183,14 @@ def suite_reports() -> dict:
         out[f"state_report/{k}"] = W.state_report(alg[k], W.unique_state(alg[k]), N, 2)
     for k in LEX:
         la = W.LexAlgebra.from_algebra(alg[k])
-        w = W.canonical_witness(la, "strong" if la.strong_form else "weak")
+        w = W.canonical_witness(la, "strong" if la.zero_offset else "weak")
         out[f"check_decomposition/{k}"] = W.check_decomposition(w, N, 3)
         out[f"check_cyclic/{k}"] = W.check_cyclic(w, N, 3)
         out[f"theorem_suite/{k}"] = W.theorem_suite(w, N, 4)
         out[f"verify_hom/phi/{k}"] = W.verify_hom(W.build_phi(w), N, 5)
-        if la.strong_form:
-            ideal, out[f"canonical_lex_ideal/{k}"] = W.canonical_lex_ideal(la, N, 6)
+        if la.zero_offset:
             out[f"state_report/{k}"] = W.state_report(
-                la.algebra, W.state_on_lex(la), N, 7, vanishes_on=ideal)
+                la.algebra, W.state_on_lex(la), N, 7, vanishes_on=head_zero)
             out[f"verify_hom/quotient/{k}"] = W.verify_hom(
                 W.quotient_to_base(la), N, 8, check_injective=False)
     # broken inputs, each failing a clause that the mutation suite does not reach

@@ -761,13 +761,17 @@ def test_library_modules_compute_with_the_ops_record():
     each hom kind its rules, from one record, so sampling.py,
     dsl.build_elem, dsl.finite and GroupHom compare no ``.kind``, dsl.py
     names no "aff" and reads no gr.Z, and AffNode, _ARITY, finite_size and
-    as_finite stay gone."""
+    as_finite stay gone.  theorem_suite checks the zero slice's ideal laws,
+    so the second copy canonical_lex_ideal stays gone, and the offset-0 test
+    is LexAlgebra.zero_offset, so no module names strong_form."""
     checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
     unchecked = {"_kernels", "_make"}
     retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
                "fmt_elem", "base_maximality", "_HOM_VALIDATION_SAMPLES", "hom_equal",
                "ideal_flags", "StateFn", "SymbolicIdeal", "_is_ideal", "is_normal",
-               "_is_commutative", "AffNode", "_ARITY", "finite_size", "as_finite"}
+               "_is_commutative", "AffNode", "_ARITY", "finite_size", "as_finite",
+               "canonical_lex_ideal"}
+    retired_members = {"strong_form"}
     kind_free = {("dsl.py", "build_elem"), ("dsl.py", "finite"), ("groups.py", "GroupHom")}
     retired_hom_methods = {"_sampled_validation", "_injective", "_null"}
     modules = sorted(Path(gr.__file__).parent.glob("*.py"))
@@ -784,6 +788,9 @@ def test_library_modules_compute_with_the_ops_record():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Attribute):
                     assert node.attr not in unchecked, f"{path.name}:{node.lineno} reads {node.attr}"
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", None)
+            assert name not in retired_members, f"{path.name}:{node.lineno} names {name}"
         if path.name == "dsl.py":
             for node in ast.walk(tree):
                 assert not (isinstance(node, ast.Constant) and node.value == "aff"), node.lineno

@@ -13,7 +13,6 @@ from lexmv.witnesses import (
     LexAlgebra,
     PerfectWitness,
     build_phi,
-    canonical_lex_ideal,
     canonical_witness,
     check_cyclic,
     check_decomposition,
@@ -35,7 +34,6 @@ SUITES = {
     "check_cyclic": lambda n: check_cyclic(W20, n),
     "theorem_suite": lambda n: theorem_suite(W20, n),
     "verify_hom": lambda n: verify_hom(build_phi(W20), n),
-    "canonical_lex_ideal": lambda n: canonical_lex_ideal(L20, n)[1],
     "state_report": lambda n: state_report(L20.algebra, state_on_lex(L20), n),
 }
 
