@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from . import groups as gr
-from .algebra import PmvAlgebra, PmvElem, ord_of, residuals
+from .algebra import IntervalError, PmvAlgebra, PmvElem, ord_of, residuals
 from .groups import GroupHom, GroupSpec, UnitalGroup
 from .reports import Report, run_suite
 from .sampling import DEFAULT_BOUND, clamp, sample_elem, sample_zero_slice
@@ -135,6 +135,23 @@ def classify(w: PerfectWitness, x: PmvElem):
     return w.indexer(x)
 
 
+def _per_slice(fn: Callable[[object], object]) -> Callable[[object], object]:
+    """fn memoized on the slice index t for one map or suite run.  A value is
+    stored only when fn returns, and the key carries t's type, so a family
+    still checks every index it is given; an unhashable t reaches fn each time."""
+    memo = {}
+
+    def call(t):
+        try:
+            return memo[t.__class__, t]
+        except KeyError:
+            return memo.setdefault((t.__class__, t), fn(t))
+        except TypeError:  # unhashable: fn raises its own error
+            return fn(t)
+
+    return call
+
+
 # ---------------------------------------------------------------------------
 # Decomposition and cyclic checks
 
@@ -191,21 +208,22 @@ def check_cyclic(
     h = w.lexalg.base.spec.ops
     uh = w.lexalg.base.unit
     base_alg = w.lexalg.base_algebra
+    family = _per_slice(w.family)
 
     def draw(rng):
         v = sample_elem(base_alg, rng, bound).value
         t = sample_elem(base_alg, rng, bound).value
-        return v, t, w.family(v), w.family(t), h.add(v, t)
+        return v, t, family(v), family(t), h.add(v, t)
 
     once = [
-        ("origin", lambda: w.family(h.zero) != alg.zero and ("c_0 != 0",)),
-        ("iii-top", lambda: w.kind == "strong" and w.family(uh) != alg.one and (w.family(uh),)),
+        ("origin", lambda: family(h.zero) != alg.zero and ("c_0 != 0",)),
+        ("iii-top", lambda: w.kind == "strong" and family(uh) != alg.one and (family(uh),)),
     ]
     clauses = [
         ("i-membership", lambda v, t, cv, ct, vt: w.indexer(ct) != t and (h.fmt(t), ct)),
         ("i-centrality", lambda v, t, cv, ct, vt: not alg.ops.central(ct.value) and (ct,)),
         ("ii-additivity", lambda v, t, cv, ct, vt: h.cmp(vt, uh) <= 0
-         and alg.ops.add(cv.value, ct.value) != w.family(vt).value and (cv, ct)),
+         and alg.ops.add(cv.value, ct.value) != family(vt).value and (cv, ct)),
     ]
     return run_suite("check-cyclic", sample_budget, seed, draw, clauses, once,
                      algebra=str(alg), kind=w.kind)
@@ -247,7 +265,10 @@ def theorem_suite(
         if h.cmp(v, h.zero) <= 0 or h.cmp(ix, uh) >= 0:
             return None
         ct = w.family(t)
-        a = alg.elem(alg.ops.add(x.value, alg.ops.neg(ct.value)))
+        try:
+            a = alg.elem(alg.ops.add(x.value, alg.ops.neg(ct.value)))
+        except IntervalError:  # a c_t outside slice t
+            return (x, h.fmt(t))
         return (w.indexer(a) != v or a.partial_add(ct) != x) and (x, h.fmt(t))
 
     def normal(x, y, i, *_):
@@ -315,22 +336,29 @@ def build_phi(w: PerfectWitness) -> Mapping:
 
     b = 0 exactly in the strong case; on canonical witnesses phi is the
     identity.  Surjectivity witnesses use the preimage recipe x = g + c_t.
+    The map calls the family once per slice index t, for c_t's tail and its negative.
     """
     la = w.lexalg
     alg = la.algebra
-    # 1 - c_u is c_u's left negation; b is its tail
-    target = LexAlgebra(la.base, la.fiber, w.family(la.base.unit).minus.value[1]).algebra
     # element values are valid, so the fiber's ops run unchecked; the
     # target's elem still checks that each image lies in [0, (u, b)]
     f_add, f_neg = la.fiber.ops.add, la.fiber.ops.neg
 
+    @_per_slice
+    def tail(t):
+        c = w.family(t).value[1]
+        return c, f_neg(c)
+
+    # 1 - c_u is c_u's left negation (u, b') - (u, c) = (0, b' - c); b is its tail
+    target = LexAlgebra(la.base, la.fiber, f_add(la.offset, tail(la.base.unit)[1])).algebra
+
     def fn(x: PmvElem) -> PmvElem:
         t = w.indexer(x)
-        return target.elem((t, f_add(x.value[1], f_neg(w.family(t).value[1]))))
+        return target.elem((t, f_add(x.value[1], tail(t)[1])))
 
     def preimage(y: PmvElem) -> PmvElem:
         t, g = y.value
-        return alg.elem((t, f_add(g, w.family(t).value[1])))
+        return alg.elem((t, f_add(g, tail(t)[0])))
 
     return Mapping(alg, target, fn, preimage, description="phi(x) = (t, x - c_t)")
 

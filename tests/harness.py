@@ -2,6 +2,10 @@
 
 import random
 
+from lexmv.reports import run_suite
+from lexmv.sampling import DEFAULT_BOUND, sample_elem
+from lexmv.witnesses import LexAlgebra, Mapping
+
 
 def hom_equal(h1, h2, samples: int = 500, seed: int = 0) -> bool:
     """Extensional equality of two GroupHoms on seeded samples (their
@@ -20,3 +24,56 @@ def head_zero(x) -> bool:
     """Membership in the zero slice M_0 = {(0, g) : g >= 0} of a lex
     interval algebra: the head is 0, and g >= 0 follows from x >= 0."""
     return x.value[0] == x.algebra.spec.left.ops.zero
+
+
+def ref_axiom_report(alg, samples: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND):
+    """axiom_report's reference twin: the same draw and clause table, with
+    every negation built where a clause uses it, none shared."""
+    one, zero_e = alg.one, alg.zero
+
+    def draw(rng):
+        x = sample_elem(alg, rng, bound)
+        y = sample_elem(alg, rng, bound)
+        z = sample_elem(alg, rng, bound)
+        a6 = (
+            x.oplus(x.tilde.odot(y)),
+            y.oplus(y.tilde.odot(x)),
+            x.odot(y.minus).oplus(y),
+            y.odot(x.minus).oplus(x),
+        )
+        return x, y, z, a6, x.odot(x.minus.oplus(y))
+
+    clauses = [
+        ("A1", lambda x, y, z, *_: x.oplus(y.oplus(z)) != x.oplus(y).oplus(z) and (x, y, z)),
+        ("A2", lambda x, *_: (x.oplus(zero_e) != x or zero_e.oplus(x) != x) and (x,)),
+        ("A3", lambda x, *_: (x.oplus(one) != one or one.oplus(x) != one) and (x,)),
+        ("A4", lambda *_: (one.tilde != zero_e or one.minus != zero_e) and (one,)),
+        ("A5", lambda x, y, *_: x.minus.oplus(y.minus).tilde != x.tilde.oplus(y.tilde).minus
+         and (x, y)),
+        ("A6", lambda x, y, z, a6, a7: any(e != a6[0] for e in a6[1:]) and (x, y)),
+        ("A7", lambda x, y, z, a6, a7: a7 != x.oplus(y.tilde).odot(y) and (x, y)),
+        ("A8", lambda x, *_: (x.minus.tilde != x or x.tilde.minus != x) and (x,)),
+        ("A6-join", lambda x, y, z, a6, a7: a6[0] != x.join(y) and (x, y)),
+        ("A7-meet", lambda x, y, z, a6, a7: a7 != x.meet(y) and (x, y)),
+    ]
+    return run_suite("check-axioms", samples, seed, draw, clauses,
+                     algebra=str(alg), symmetric=alg.is_symmetric())
+
+
+def ref_build_phi(w):
+    """build_phi's reference twin: phi(x) = (t, x - c_t) calling the family
+    for every image and preimage, and for the target's offset 1 - c_u."""
+    la = w.lexalg
+    alg = la.algebra
+    target = LexAlgebra(la.base, la.fiber, w.family(la.base.unit).minus.value[1]).algebra
+    f_add, f_neg = la.fiber.ops.add, la.fiber.ops.neg
+
+    def fn(x):
+        t = w.indexer(x)
+        return target.elem((t, f_add(x.value[1], f_neg(w.family(t).value[1]))))
+
+    def preimage(y):
+        t, g = y.value
+        return alg.elem((t, f_add(g, w.family(t).value[1])))
+
+    return Mapping(alg, target, fn, preimage, description="phi(x) = (t, x - c_t)")

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from fractions import Fraction
 
+from harness import ref_axiom_report
 from lexmv import groups as gr
 from lexmv.algebra import (
     CrossAlgebraError,
@@ -19,6 +20,7 @@ from lexmv.algebra import (
     residuals,
 )
 from lexmv.axioms import axiom_report, partial_sum_report, pea_equivalence_report
+from lexmv.reports import canonical_json
 from lexmv.sampling import sample_elem
 
 ZZ = gr.lex(gr.Z, gr.Z)
@@ -379,3 +381,45 @@ def test_kernels_match_the_interval_formulas():
             assert k.make(xv).value is xv and k.make(xv).algebra is a
         with pytest.raises(CrossAlgebraError):
             a.one.cmp(other.one)
+
+
+# ---------------------------------------------------------------------------
+# axiom_report against its twin, which builds every negation where it is used
+
+
+def test_axiom_report_matches_reference_twin():
+    for name, a in SAMPLED_CATALOG.items():
+        for seed in range(30):
+            got, want = axiom_report(a, 50, seed), ref_axiom_report(a, 50, seed)
+            assert canonical_json(got) == canonical_json(want), (name, seed)
+
+
+def _minus_off_by_one(a):
+    # x^- = (u - x - e) \/ 0, one step e below the true negation
+    k, ops = a._kernels, a.ops
+    e = 1 if a.spec == gr.Z else (0, 1)
+    return lambda v: k.make(ops.join(ops.add(ops.add(a.unit, ops.neg(v)), ops.neg(e)), ops.zero))
+
+
+def _minus_by_tilde_formula(a):
+    # x^- = -x + u, right for a central unit only
+    return a._kernels.tilde
+
+
+# a broken minus kernel, and the seed whose first failing clause is A5 or A8:
+# the shared negations must carry the kernel's value into the same clause
+BROKEN_MINUS = [
+    ("Z7", _minus_off_by_one, 0, "A5"),
+    ("Z7", _minus_off_by_one, 2, "A8"),
+    ("ZxZ21", _minus_off_by_one, 0, "A5"),
+    ("Aff2", _minus_by_tilde_formula, 1, "A8"),
+]
+
+
+@pytest.mark.parametrize("name, broken, seed, clause", BROKEN_MINUS)
+def test_broken_minus_fails_like_the_twin(monkeypatch, name, broken, seed, clause):
+    a = SAMPLED_CATALOG[name]
+    monkeypatch.setattr(a._kernels, "minus", broken(a))
+    got, want = axiom_report(a, 100, seed), ref_axiom_report(a, 100, seed)
+    assert got.verdict == "fail" and got.counterexamples[0]["clause"] == clause
+    assert canonical_json(got) == canonical_json(want)

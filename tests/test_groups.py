@@ -763,7 +763,10 @@ def test_library_modules_compute_with_the_ops_record():
     names no "aff" and reads no gr.Z, and AffNode, _ARITY, finite_size and
     as_finite stay gone.  theorem_suite checks the zero slice's ideal laws,
     so the second copy canonical_lex_ideal stays gone, and the offset-0 test
-    is LexAlgebra.zero_offset, so no module names strong_form."""
+    is LexAlgebra.zero_offset, so no module names strong_form.  Every memo
+    lives in one call: no module uses lru_cache, functools.cache decorates
+    only argument-free builders (the CLI's parser), and witnesses.py and
+    axioms.py bind no dict at module level."""
     checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
     unchecked = {"_kernels", "_make"}
     retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
@@ -774,6 +777,7 @@ def test_library_modules_compute_with_the_ops_record():
     retired_members = {"strong_form"}
     kind_free = {("dsl.py", "build_elem"), ("dsl.py", "finite"), ("groups.py", "GroupHom")}
     retired_hom_methods = {"_sampled_validation", "_injective", "_null"}
+    call_scoped = {"witnesses.py", "axioms.py"}
     modules = sorted(Path(gr.__file__).parent.glob("*.py"))
     assert len(modules) >= 10
     for path in modules:
@@ -791,6 +795,22 @@ def test_library_modules_compute_with_the_ops_record():
         for node in ast.walk(tree):
             name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", None)
             assert name not in retired_members, f"{path.name}:{node.lineno} names {name}"
+        # a cache decorator on an argument-free function builds a constant once
+        constant = {id(d) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+                    and not any(vars(n.args)[k] for k in ("posonlyargs", "args", "vararg",
+                                                          "kwonlyargs", "kwarg"))
+                    for d in n.decorator_list}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias)):
+                name = getattr(node, "attr", None) or getattr(node, "id", None) or node.name
+                assert name != "lru_cache" and (name != "cache" or id(node) in constant), (
+                    f"{path.name}:{getattr(node, 'lineno', '?')} caches across calls")
+        if path.name in call_scoped:
+            for node in tree.body:
+                value = getattr(node, "value", None)
+                assert not (isinstance(value, (ast.Dict, ast.DictComp)) or (
+                    isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict")), (
+                    f"{path.name}:{node.lineno} binds a module-level dict")
         if path.name == "dsl.py":
             for node in ast.walk(tree):
                 assert not (isinstance(node, ast.Constant) and node.value == "aff"), node.lineno

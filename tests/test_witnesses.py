@@ -1,13 +1,15 @@
+import dataclasses
 import math
 import random
 
 import pytest
 from fractions import Fraction
 
-from harness import head_zero, hom_equal
+from harness import head_zero, hom_equal, ref_build_phi
 from lexmv import groups as gr
 from lexmv import witnesses
 from lexmv.algebra import PmvAlgebra, PmvElem, ord_of
+from lexmv.reports import canonical_json
 from lexmv.sampling import sample_elem
 from lexmv.witnesses import (
     ExtractionError,
@@ -404,3 +406,113 @@ def test_extract_rejects_non_slicewise_maps():
     squared = Mapping(a, a, square, description="(0,g) |-> (0,g^2)")
     with pytest.raises(ExtractionError, match=r"no catalog homomorphism matches \(0,g\) \|-> "):
         extract_morphism(squared)
+
+
+# ---------------------------------------------------------------------------
+# phi and check_cyclic call a witness's family once per slice index
+
+
+def _phi_twin_witnesses():
+    zaff = la(gr.Z, 1, gr.AFF, gr.Aff(2, 0))
+    qq = la(gr.Q, Fraction(3, 2), gr.Q, 0)
+    diagonal = PerfectWitness(L22, lambda x: x.value[0], lambda t: L22.algebra.elem((t, t)), "strong")
+    noisy = dataclasses.replace(canonical_witness(L21, "weak"),
+                                family=lambda t: L21.algebra.elem((t, min(t, 1))))
+    return {"ZxZ20": canonical_witness(L20, "strong"), "ZxZ21": canonical_witness(L21, "weak"),
+            "ZxAff": canonical_witness(zaff, "weak"), "QxQ": canonical_witness(qq, "strong"),
+            "diagonal": diagonal, "noisy": noisy}
+
+
+def _verdict_or_error(build, w, seed):
+    try:
+        return canonical_json(verify_hom(build(w), 100, seed))
+    except (ValueError, TypeError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_build_phi_matches_reference_twin():
+    for name, w in _phi_twin_witnesses().items():
+        for seed in range(10):
+            got = _verdict_or_error(build_phi, w, seed)
+            assert got == _verdict_or_error(ref_build_phi, w, seed), (name, seed)
+
+
+def _counting(w):
+    calls = []
+
+    def family(t):
+        calls.append(t)
+        return w.family(t)
+
+    return dataclasses.replace(w, family=family), calls
+
+
+def test_family_runs_once_per_slice_index():
+    # Gamma(Z lex Z, (2,0)) has the u + 1 = 3 slices 0, 1 and 2
+    for seed in range(5):
+        w, calls = _counting(canonical_witness(la(gr.Z, 2, gr.Z, 0), "strong"))
+        phi = build_phi(w)
+        assert verify_hom(phi, 200, seed).ok
+        assert sorted(calls) == [0, 1, 2], seed
+        del calls[:]
+        assert check_cyclic(w, 200, seed).ok
+        assert sorted(calls) == [0, 1, 2], seed
+        # no memo outlives its map: a second phi calls the family again
+        del calls[:]
+        again = build_phi(w)
+        assert calls == [2]
+        again.fn(w.algebra.elem((1, 3)))
+        phi.fn(w.algebra.elem((1, 3)))
+        assert calls == [2, 1]
+
+
+def test_family_that_rejects_an_index_raises_on_every_call():
+    w = canonical_witness(L20, "strong")
+
+    def family(t):
+        if t == 1:
+            raise WitnessError("no c_1")
+        return w.family(t)
+
+    bad = dataclasses.replace(w, family=family)
+    phi = build_phi(bad)
+    assert phi.fn(L20.algebra.elem((0, 4))) == L20.algebra.elem((0, 4))
+    for _ in range(3):
+        with pytest.raises(WitnessError, match="no c_1"):
+            phi.fn(L20.algebra.elem((1, 3)))
+        with pytest.raises(WitnessError, match="no c_1"):
+            phi.preimage(phi.target.elem((1, 0)))
+        with pytest.raises(WitnessError, match="no c_1"):
+            check_cyclic(bad, 50, seed=0)
+
+
+# indexers whose values are unhashable, or hashable and equal to a valid index
+# but of the wrong type
+BAD_INDEXES = [lambda h: [h], lambda h: Fraction(h), lambda h: float(h), lambda h: bool(h)]
+
+
+@pytest.mark.parametrize("index", BAD_INDEXES, ids=["list", "Fraction", "float", "bool"])
+def test_phi_of_a_bad_index_raises_the_twins_shape_error(index):
+    bad = dataclasses.replace(canonical_witness(L20, "strong"),
+                              indexer=lambda x: index(x.value[0]))
+    phis = build_phi(bad), ref_build_phi(bad)
+    for value in ((2, -3), (1, 3), (0, 5), (2, -3)):
+        x = L20.algebra.elem(value)
+        errors = []
+        for phi in phis:
+            with pytest.raises(gr.ShapeError) as info:
+                phi.fn(x)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1], (value, errors)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_slice_sum_fails_when_x_minus_c_t_leaves_the_interval(seed):
+    # c_t one slice too high: for x = (1, g) with g < 0, x - c_0 = (0, g) < 0
+    alg = L20.algebra
+    w = PerfectWitness(L20, lambda x: x.value[0], lambda t: alg.elem((min(t + 1, 2), 0)), "strong")
+    rep = theorem_suite(w, 300, seed)
+    assert rep.verdict == "fail"
+    [cex] = rep.counterexamples
+    assert cex["clause"] == "ii-slice-sum"
+    assert cex["witness"][0].startswith("(1,-") and cex["witness"][1] == "0", cex
