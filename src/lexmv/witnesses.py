@@ -336,7 +336,7 @@ def build_phi(w: PerfectWitness) -> Mapping:
 
     b = 0 exactly in the strong case; on canonical witnesses phi is the
     identity.  Surjectivity witnesses use the preimage recipe x = g + c_t.
-    The map calls the family once per slice index t, for c_t's tail and its negative.
+    It calls the family once per slice index, for c_t's tail and its negative.
     """
     la = w.lexalg
     alg = la.algebra
@@ -349,7 +349,7 @@ def build_phi(w: PerfectWitness) -> Mapping:
         c = w.family(t).value[1]
         return c, f_neg(c)
 
-    # 1 - c_u is c_u's left negation (u, b') - (u, c) = (0, b' - c); b is its tail
+    # b is the tail of 1 - c_u = (u, offset) - (u, c) = (0, offset - c)
     target = LexAlgebra(la.base, la.fiber, f_add(la.offset, tail(la.base.unit)[1])).algebra
 
     def fn(x: PmvElem) -> PmvElem:
