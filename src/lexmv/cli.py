@@ -30,8 +30,7 @@ from .witnesses import (
     WitnessError,
     build_phi,
     canonical_witness,
-    check_cyclic,
-    check_decomposition,
+    check_witness,
     classify,
     verify_hom,
 )
@@ -161,18 +160,14 @@ def _run_command(args) -> Report:
             return rep
         kind, w = _witness(args, la)
         if cmd == "witness":
-            dec = check_decomposition(w, args.samples, args.seed, args.bound)
-            cyc = check_cyclic(w, args.samples, args.seed, args.bound)
-            rep = Report(cmd, "pass", seed=args.seed, samples=args.samples).merge(dec).merge(cyc)
-            rep.details = {"kind": kind, "decomposition": dec.verdict, "cyclic": cyc.verdict,
-                           "algebra": str(la.algebra)}
-            return rep
-        phi = build_phi(w)
-        rep = verify_hom(phi, args.samples, args.seed, args.bound)
+            rep = check_witness(w, args.samples, args.seed, args.bound)
+        else:
+            phi = build_phi(w)
+            rep = verify_hom(phi, args.samples, args.seed, args.bound)
+            rep.details["b"] = la.spec.ops.fmt((la.base.spec.ops.zero, phi.target.unit[1]))
+            rep.details["target"] = str(phi.target)
         rep.command = cmd
-        rep.details["b"] = la.spec.ops.fmt((la.base.spec.ops.zero, phi.target.unit[1]))
         rep.details["kind"] = kind
-        rep.details["target"] = str(phi.target)
         return rep
 
     rep = Report(cmd, "pass")

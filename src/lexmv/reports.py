@@ -33,37 +33,35 @@ class Report:
         self.counterexamples.append({"clause": clause, "witness": witness})
         return self
 
-    def merge(self, part: "Report") -> "Report":
-        """Fold a sub-report into this one: fail > vacuous > pass, and
-        counterexamples are concatenated."""
-        self.counterexamples += part.counterexamples
-        if part.verdict == "fail" or self.verdict == "pass":
-            self.verdict = part.verdict
-        return self
-
 
 def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Random], tuple],
-              clauses: Sequence[tuple], once: Sequence[tuple] = (), **details) -> Report:
-    """The one loop of every sampled suite: a draw function plus a clause table.
+              tables: Sequence[tuple], **details) -> Report:
+    """The one loop of every sampled suite: one draw and its clause tables.
 
-    A clause is ``(name, bad)``: ``bad(*drawn)`` is falsy when the clause
-    holds and returns the witness items, stringified here, when it does
-    not.  The ``once`` clauses take no arguments and run first; then the
-    seeded draws run through ``clauses`` in order, up to the first
-    violation.  Zero sampled instances and no failed ``once`` clause make
-    the verdict ``"vacuous"``.  ``details`` are recorded unless the run fails."""
+    ``draw(rng)`` returns one sample's parts.  A table is ``(derive,
+    clauses, once)``: ``derive(*parts)`` returns the arguments of its
+    clauses, and a clause is ``(name, bad)``, where ``bad(*args)`` is falsy
+    when the clause holds and returns the witness items, stringified here,
+    when it does not.  The ``once`` clauses of every table take no
+    arguments and run first; then each seeded sample runs through the
+    tables' clauses in order, up to the first violation.  Zero sampled
+    instances and no failed ``once`` clause make the verdict ``"vacuous"``.
+    ``details`` are recorded unless the run fails."""
     rep = Report(command, "pass", seed=seed, samples=samples)
-    for name, bad in once:
-        found = bad()
-        if found:
-            return rep.fail(name, [str(e) for e in found])
-    rng = random.Random(seed)
-    for _ in range(samples):
-        drawn = draw(rng)
-        for name, bad in clauses:
-            found = bad(*drawn)
+    for _, _, once in tables:
+        for name, bad in once:
+            found = bad()
             if found:
                 return rep.fail(name, [str(e) for e in found])
+    rng = random.Random(seed)
+    for _ in range(samples):
+        parts = draw(rng)
+        for derive, clauses, _ in tables:
+            args = derive(*parts)
+            for name, bad in clauses:
+                found = bad(*args)
+                if found:
+                    return rep.fail(name, [str(e) for e in found])
     if samples == 0:
         rep.verdict = "vacuous"
     rep.details.update(details)

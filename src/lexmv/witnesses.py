@@ -7,7 +7,9 @@ handled symbolically: a decomposition is an indexing function, its zero
 slice M_0 (the normal, prime ideal with quotient Gamma(H, u)) is the set
 the indexer sends to 0, and every universally quantified claim becomes a
 seeded sampled check returning a structured report with the failing
-witness when there is one.  theorem_suite checks M_0's ideal laws.
+witness when there is one.  Each check is a clause table for run_suite;
+theorem_suite (with M_0's ideal laws) and check_witness run several
+tables off one draw per sample.
 """
 
 from __future__ import annotations
@@ -156,19 +158,14 @@ def _per_slice(fn: Callable[[object], object]) -> Callable[[object], object]:
 # Decomposition and cyclic checks
 
 
-def check_decomposition(
-    w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
-) -> Report:
-    """Definition clauses (a)-(c) plus the partial-sum and lattice slice laws."""
-    alg = w.algebra
+def _decomposition_table(w: PerfectWitness) -> tuple:
+    """check_decomposition's table, on the parts x, y that lead each draw it joins."""
     idx = w.indexer
     hs = w.lexalg.base.spec
     h = hs.ops
     uh = w.lexalg.base.unit
 
-    def draw(rng):
-        x = sample_elem(alg, rng, bound)
-        y = sample_elem(alg, rng, bound)
+    def derive(x, y, *_):
         # the indexer is the witness's own code: its values enter here
         v, t = idx(x), idx(y)
         gr.check_shape(hs, v)
@@ -196,25 +193,25 @@ def check_decomposition(
         ("iv-join", lambda x, y, v, t, *_: idx(x.join(y)) != h.join(v, t) and (x, y)),
         ("iv-meet", lambda x, y, v, t, *_: idx(x.meet(y)) != h.meet(v, t) and (x, y)),
     ]
-    return run_suite("check-decomposition", sample_budget, seed, draw, clauses, algebra=str(alg))
+    return derive, clauses, ()
 
 
-def check_cyclic(
+def check_decomposition(
     w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
 ) -> Report:
-    """Cyclic family clauses: slice membership and centrality, additivity
-    c_v + c_t = c_{v+t}, the origin law c_0 = 0, and c_u = 1 for strong."""
+    """Definition clauses (a)-(c) plus the partial-sum and lattice slice laws."""
+    alg = w.algebra
+    draw = lambda rng: (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound))
+    return run_suite("check-decomposition", sample_budget, seed, draw, [_decomposition_table(w)],
+                     algebra=str(alg))
+
+
+def _cyclic_table(w: PerfectWitness) -> tuple:
+    """check_cyclic's table, on the slice indices v and t."""
     alg = w.algebra
     h = w.lexalg.base.spec.ops
     uh = w.lexalg.base.unit
-    base_alg = w.lexalg.base_algebra
     family = _per_slice(w.family)
-
-    def draw(rng):
-        v = sample_elem(base_alg, rng, bound).value
-        t = sample_elem(base_alg, rng, bound).value
-        return v, t, family(v), family(t), h.add(v, t)
-
     once = [
         ("origin", lambda: family(h.zero) != alg.zero and ("c_0 != 0",)),
         ("iii-top", lambda: w.kind == "strong" and family(uh) != alg.one and (family(uh),)),
@@ -225,8 +222,38 @@ def check_cyclic(
         ("ii-additivity", lambda v, t, cv, ct, vt: h.cmp(vt, uh) <= 0
          and alg.ops.add(cv.value, ct.value) != family(vt).value and (cv, ct)),
     ]
-    return run_suite("check-cyclic", sample_budget, seed, draw, clauses, once,
-                     algebra=str(alg), kind=w.kind)
+    return lambda v, t: (v, t, family(v), family(t), h.add(v, t)), clauses, once
+
+
+def check_cyclic(
+    w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
+) -> Report:
+    """Cyclic family clauses: slice membership and centrality, additivity
+    c_v + c_t = c_{v+t}, the origin law c_0 = 0, and c_u = 1 for strong."""
+    base_alg = w.lexalg.base_algebra
+    draw = lambda rng: (sample_elem(base_alg, rng, bound).value,
+                        sample_elem(base_alg, rng, bound).value)
+    return run_suite("check-cyclic", sample_budget, seed, draw, [_cyclic_table(w)],
+                     algebra=str(w.algebra), kind=w.kind)
+
+
+def check_witness(
+    w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
+) -> Report:
+    """The decomposition and cyclic tables in one loop over the parts x, y
+    (elements) and v, t (slice indices)."""
+    alg, base_alg = w.algebra, w.lexalg.base_algebra
+    c_derive, c_clauses, c_once = _cyclic_table(w)
+
+    def draw(rng):
+        return (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound),
+                sample_elem(base_alg, rng, bound).value, sample_elem(base_alg, rng, bound).value)
+
+    tables = [_decomposition_table(w), (lambda x, y, v, t: c_derive(v, t), c_clauses, c_once)]
+    rep = run_suite("check-witness", sample_budget, seed, draw, tables, algebra=str(alg))
+    if rep.verdict != "fail":
+        rep.details["decomposition"] = rep.details["cyclic"] = rep.verdict
+    return rep
 
 
 def theorem_suite(
@@ -236,8 +263,8 @@ def theorem_suite(
     partial-sum slice laws (i-iii), lattice slice law (iv), a state
     vanishing on M_0 (v), M_0 a normal ideal with M_0 + M_0 = M_0 inside
     the infinitesimals (vi), the quotient onto the base (vii), uniqueness
-    of the indexing (viii), and primality of M_0 (ix).  The first failing
-    sub-report ends the suite."""
+    of the indexing (viii), and primality of M_0 (ix).  One loop over the
+    parts x, y, i, j (in M_0) and t (a base element) runs every table."""
     la = w.lexalg
     alg = w.algebra
     hs = la.base.spec
@@ -248,14 +275,14 @@ def theorem_suite(
     in_m0 = lambda e: e is not None and w.indexer(e) == h.zero
 
     def draw(rng):
-        x = sample_elem(alg, rng, bound)
-        y = sample_elem(alg, rng, bound)
-        i = sample_zero_slice(alg, rng, bound)
-        j = sample_zero_slice(alg, rng, bound)
-        t = sample_elem(la.base_algebra, rng, bound).value
+        return (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound),
+                sample_zero_slice(alg, rng, bound), sample_zero_slice(alg, rng, bound),
+                sample_elem(la.base_algebra, rng, bound))
+
+    def derive(x, y, i, j, t):
         ix = w.indexer(x)
         gr.check_shape(hs, ix)
-        return x, y, i, j, t, ix
+        return x, y, i, j, t.value, ix
 
     def slice_sum(x, y, i, j, t, ix):
         # (ii) surjectivity of M_v + M_t onto M_{v+t}: peel c_t off x.
@@ -291,30 +318,22 @@ def theorem_suite(
         # (viii) the indexing is forced: it agrees with the head coordinate
         ("viii-unique", lambda x, y, i, j, t, ix: ix != x.value[0] and (x,)),
     ]
-    args = (sample_budget, seed, bound)
-    rep = Report("theorem-suite", "pass", seed=seed, samples=sample_budget)
-    if rep.merge(check_decomposition(w, *args)).verdict == "fail":
-        return rep
-    if rep.merge(run_suite("theorem-suite", sample_budget, seed, draw, clauses)).verdict == "fail":
-        return rep
+    tables = [_decomposition_table(w), (derive, clauses, ())]
     # (v) and (vii) need the offset-0 form; the state is s0 o head
+    skipped = {}
     if not la.zero_offset:
-        rep.details["v-state"] = "skipped: nonzero offset"
-        rep.details["vii-quotient"] = "skipped: nonzero offset"
+        skipped = dict.fromkeys(("v-state", "vii-quotient"), "skipped: nonzero offset")
     else:
         try:
-            srep = state_report(alg, state_on_lex(la), *args, vanishes_on=in_m0)
+            tables.append(_state_table(alg, state_on_lex(la), in_m0))
         except UnsupportedBaseError:
-            rep.details["v-state"] = "skipped: no closed-form base state"
-        else:
-            if rep.merge(srep).verdict == "fail":
-                return rep
-            rep.details["v-state"] = srep.verdict
-        qrep = verify_hom(quotient_to_base(la), *args, check_injective=False)
-        if rep.merge(qrep).verdict == "fail":
-            return rep
-        rep.details["vii-quotient"] = qrep.verdict
-    rep.details["algebra"] = str(alg)
+            skipped["v-state"] = "skipped: no closed-form base state"
+        q_derive, q_clauses, q_once = _hom_table(quotient_to_base(la), False)
+        tables.append((lambda x, y, i, j, t: q_derive(x, y, t), q_clauses, q_once))
+    rep = run_suite("theorem-suite", sample_budget, seed, draw, tables, algebra=str(alg), **skipped)
+    if rep.verdict != "fail":
+        for part in ("v-state", "vii-quotient"):
+            rep.details.setdefault(part, rep.verdict)
     return rep
 
 
@@ -363,23 +382,9 @@ def build_phi(w: PerfectWitness) -> Mapping:
     return Mapping(alg, target, fn, preimage, description="phi(x) = (t, x - c_t)")
 
 
-def verify_hom(
-    m: Mapping,
-    sample_budget: int = 1000,
-    seed: int = 0,
-    bound: int = DEFAULT_BOUND,
-    check_injective: bool = True,
-) -> Report:
-    """Preservation of 0, 1, both negations, oplus, odot, join and meet on
-    samples; sampled injectivity; surjectivity through the preimage recipe."""
+def _hom_table(m: Mapping, check_injective: bool) -> tuple:
+    """verify_hom's table, on x, y from the source and z from the target."""
     f = m.fn
-
-    def draw(rng):
-        x = sample_elem(m.source, rng, bound)
-        y = sample_elem(m.source, rng, bound)
-        z = sample_elem(m.target, rng, bound) if m.preimage is not None else None
-        return x, y, f(x), f(y), z
-
     once = [
         ("zero", lambda: f(m.source.zero) != m.target.zero and ("f(0) != 0",)),
         ("unit", lambda: f(m.source.one) != m.target.one and (f(m.source.one),)),
@@ -396,7 +401,25 @@ def verify_hom(
         ("surjectivity", lambda x, y, fx, fy, z: z is not None and f(m.preimage(z)) != z
          and (z,)),
     ]
-    return run_suite("verify-hom", sample_budget, seed, draw, clauses, once,
+    return lambda x, y, z: (x, y, f(x), f(y), z), clauses, once
+
+
+def verify_hom(
+    m: Mapping,
+    sample_budget: int = 1000,
+    seed: int = 0,
+    bound: int = DEFAULT_BOUND,
+    check_injective: bool = True,
+) -> Report:
+    """Preservation of 0, 1, both negations, oplus, odot, join and meet on
+    samples; sampled injectivity; surjectivity through the preimage recipe."""
+
+    def draw(rng):
+        x = sample_elem(m.source, rng, bound)
+        y = sample_elem(m.source, rng, bound)
+        return x, y, sample_elem(m.target, rng, bound) if m.preimage is not None else None
+
+    return run_suite("verify-hom", sample_budget, seed, draw, [_hom_table(m, check_injective)],
                      surjectivity="checked" if m.preimage is not None else "not-checked",
                      injectivity="checked" if check_injective else "not-checked",
                      map=m.description)
@@ -444,6 +467,17 @@ def state_on_lex(lexalg: LexAlgebra) -> Callable[[PmvElem], Fraction]:
     return lambda x: s0(x.value[0])
 
 
+def _state_table(alg: PmvAlgebra, s: Callable, vanishes_on: Optional[Callable]) -> tuple:
+    """state_report's table, on the parts a, b that lead each draw it joins."""
+    once = [("normalization", lambda: s(alg.one) != 1 and (alg.one,))]
+    clauses = [
+        ("additivity", lambda a, b, ab: ab is not None and s(ab) != s(a) + s(b) and (a, b)),
+        ("vanishes-on-ideal", lambda a, b, ab: vanishes_on is not None
+         and vanishes_on(a) and s(a) != 0 and (a,)),
+    ]
+    return lambda a, b, *_: (a, b, a.partial_add(b)), clauses, once
+
+
 def state_report(
     alg: PmvAlgebra,
     s: Callable[[PmvElem], Fraction],
@@ -454,19 +488,8 @@ def state_report(
 ) -> Report:
     """s(1) = 1 and additivity on defined partial sums sampled from alg;
     optionally s(a) = 0 on the samples a with vanishes_on(a), a predicate."""
-
-    def draw(rng):
-        a = sample_elem(alg, rng, bound)
-        b = sample_elem(alg, rng, bound)
-        return a, b, a.partial_add(b)
-
-    once = [("normalization", lambda: s(alg.one) != 1 and (alg.one,))]
-    clauses = [
-        ("additivity", lambda a, b, ab: ab is not None and s(ab) != s(a) + s(b) and (a, b)),
-        ("vanishes-on-ideal", lambda a, b, ab: vanishes_on is not None
-         and vanishes_on(a) and s(a) != 0 and (a,)),
-    ]
-    return run_suite("state", sample_budget, seed, draw, clauses, once)
+    draw = lambda rng: (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound))
+    return run_suite("state", sample_budget, seed, draw, [_state_table(alg, s, vanishes_on)])
 
 
 # ---------------------------------------------------------------------------

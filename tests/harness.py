@@ -28,7 +28,8 @@ def head_zero(x) -> bool:
 
 def ref_axiom_report(alg, samples: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND):
     """axiom_report's reference twin: the same draw and clause table, with
-    every negation built where a clause uses it, none shared."""
+    every negation built where a clause uses it, none shared.  Its draw
+    builds every term, so its one table passes the parts through."""
     one, zero_e = alg.one, alg.zero
 
     def draw(rng):
@@ -56,7 +57,7 @@ def ref_axiom_report(alg, samples: int = 1000, seed: int = 0, bound: int = DEFAU
         ("A6-join", lambda x, y, z, a6, a7: a6[0] != x.join(y) and (x, y)),
         ("A7-meet", lambda x, y, z, a6, a7: a7 != x.meet(y) and (x, y)),
     ]
-    return run_suite("check-axioms", samples, seed, draw, clauses,
+    return run_suite("check-axioms", samples, seed, draw, [(lambda *p: p, clauses, ())],
                      algebra=str(alg), symmetric=alg.is_symmetric())
 
 

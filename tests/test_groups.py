@@ -774,7 +774,7 @@ def test_library_modules_compute_with_the_ops_record():
                "ideal_flags", "StateFn", "SymbolicIdeal", "_is_ideal", "is_normal",
                "_is_commutative", "AffNode", "_ARITY", "finite_size", "as_finite",
                "canonical_lex_ideal"}
-    retired_members = {"strong_form"}
+    retired_members = {"strong_form", "merge"}
     kind_free = {("dsl.py", "build_elem"), ("dsl.py", "finite"), ("groups.py", "GroupHom")}
     retired_hom_methods = {"_sampled_validation", "_injective", "_null"}
     call_scoped = {"witnesses.py", "axioms.py"}

@@ -1,4 +1,5 @@
-"""The one suite runner: verdicts at zero samples and the verdict merge rule."""
+"""The one suite runner: verdicts at zero samples, one draw per sample, and
+the exits of the commands that run several clause tables in one loop."""
 
 import dataclasses
 import json
@@ -8,7 +9,6 @@ import pytest
 from lexmv import cli, dsl, witnesses
 from lexmv import groups as gr
 from lexmv.axioms import axiom_report, partial_sum_report, pea_equivalence_report
-from lexmv.reports import Report
 from lexmv.witnesses import (
     LexAlgebra,
     PerfectWitness,
@@ -63,18 +63,6 @@ def test_failed_one_off_check_fails_at_zero_samples():
     }
 
 
-def test_merge_rule():
-    rank = ["pass", "vacuous", "fail"]
-    for a in rank:
-        for b in rank:
-            left = Report("x", a, counterexamples=[{"clause": "l"}] if a == "fail" else [])
-            right = Report("y", b, counterexamples=[{"clause": "r"}] if b == "fail" else [])
-            merged = left.merge(right)
-            assert merged.verdict == max(a, b, key=rank.index), (a, b)
-            clauses = [c["clause"] for c in merged.counterexamples]
-            assert clauses == ["l"] * (a == "fail") + ["r"] * (b == "fail")
-
-
 def test_theorem_suite_reports_the_decomposition_failure():
     # the indexer-shift mutant of mutation_suite
     w = canonical_witness(LexAlgebra(gr.UnitalGroup(gr.Z, 1), gr.Z, 0), "strong")
@@ -87,15 +75,49 @@ def test_theorem_suite_reports_the_decomposition_failure():
         assert dict(mutation_suite(seed))["indexer-shift"].counterexamples == dec.counterexamples
 
 
-def test_witness_command_merges_both_checks(monkeypatch, capsys):
-    cex = [{"clause": "ii-additivity", "witness": ["(0,0)", "(1,0)"]}]
-    failing = Report("check-cyclic", "fail", counterexamples=cex)
-    monkeypatch.setattr(cli, "check_cyclic", lambda *a: failing)
-    for samples, dec in (("20", "pass"), ("0", "vacuous")):
+def test_one_draw_per_sample(monkeypatch, capsys):
+    # theorem_suite draws x, y, i, j and t once per sample for all its
+    # tables, and the witness command x, y, v and t
+    calls = []
+    for name in ("sample_elem", "sample_zero_slice"):
+        real = getattr(witnesses, name)
+        monkeypatch.setattr(witnesses, name, lambda *a, real=real: calls.append(1) or real(*a))
+    for text in ("gamma(lex(Z,Z),(2,0))", "gamma(lex(Z,Z),(2,1))"):
+        la = LexAlgebra.from_algebra(dsl.build_algebra(dsl.parse(text)))
+        w = canonical_witness(la, "strong" if la.zero_offset else "weak")
+        calls.clear()
+        assert theorem_suite(w, 30).ok, text
+        assert len(calls) == 5 * 30, text
+        calls.clear()
+        assert cli.main(["run", "witness", text, "--samples", "30"]) == 0, text
+        assert len(calls) == 4 * 30, text
+    capsys.readouterr()
+
+
+# the cyclic family mutants of mutation_suite, as tails of c_t on Gamma(Z lex Z,(2,1)):
+# the clause each fails, and the verdict at zero samples
+BROKEN_FAMILIES = {
+    "family-noise": (lambda t: min(t, 1), "ii-additivity", "vacuous"),
+    "family-nonzero-origin": (lambda t: 1 if t == 0 else 0, "origin", "fail"),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_FAMILIES)
+def test_witness_command_fails_on_a_broken_family(monkeypatch, capsys, name):
+    tail, clause, at_zero = BROKEN_FAMILIES[name]
+    canonical = cli.canonical_witness
+    monkeypatch.setattr(cli, "canonical_witness", lambda la, kind: dataclasses.replace(
+        canonical(la, kind), family=lambda t: la.algebra.elem((t, tail(t)))))
+    for samples, verdict in (("100", "fail"), ("0", at_zero)):
         assert cli.main(["run", "witness", "gamma(lex(Z,Z),(2,1))", "--samples", samples]) == 1
         rep = json.loads(capsys.readouterr().out)
-        assert rep["verdict"] == "fail" and rep["counterexamples"] == cex
-        assert rep["details"]["decomposition"] == dec and rep["details"]["cyclic"] == "fail"
+        assert rep["verdict"] == verdict and rep["details"]["kind"] == "weak"
+        if verdict == "fail":
+            assert [c["clause"] for c in rep["counterexamples"]] == [clause]
+            # a stopped loop vouches for neither table
+            assert "decomposition" not in rep["details"] and "cyclic" not in rep["details"]
+        else:
+            assert rep["details"]["decomposition"] == rep["details"]["cyclic"] == verdict
 
 
 def test_monotone_witness_names_the_lower_slice_first():
@@ -122,19 +144,32 @@ def test_indexer_values_are_shape_checked_where_they_enter(monkeypatch):
         check_decomposition(bad, 50)
     with pytest.raises(gr.ShapeError):
         theorem_suite(bad, 50)
-    # theorem_suite's own draw checks too, past a decomposition check that passes
-    monkeypatch.setattr(witnesses, "check_decomposition",
-                        lambda *a: Report("check-decomposition", "pass"))
+    # theorem_suite's own rows check too, with the decomposition table emptied
+    built = _empty_decomposition(monkeypatch)
     with pytest.raises(gr.ShapeError):
         theorem_suite(bad, 50)
+    assert built == [bad]
+
+
+def _empty_decomposition(monkeypatch) -> list:
+    """Give theorem_suite a decomposition table with no clauses; the list
+    returned collects the witnesses it was built for."""
+    built = []
+    monkeypatch.setattr(witnesses, "_decomposition_table",
+                        lambda w: built.append(w) or (lambda *p: p, (), ()))
+    return built
+
+
+DECOMPOSITION_CLAUSES = {name for name, _ in witnesses._decomposition_table(W20)[1]}
 
 
 def _shifted_indexer(monkeypatch):
-    # the decomposition would fail first, so it is passed; then two
+    # the decomposition table fails first, so it is emptied; then two
     # head-zero elements sum outside the shifted M_0
-    monkeypatch.setattr(witnesses, "check_decomposition",
-                        lambda *a: Report("check-decomposition", "pass"))
-    return PerfectWitness(L20, lambda x: min(x.value[0] + 1, 2), W20.family, "strong")
+    w = PerfectWitness(L20, lambda x: min(x.value[0] + 1, 2), W20.family, "strong")
+    assert theorem_suite(w, 100).counterexamples[0]["clause"] in DECOMPOSITION_CLAUSES
+    _empty_decomposition(monkeypatch)
+    return w
 
 
 def _halved_state(monkeypatch):
@@ -151,9 +186,9 @@ def _shifted_quotient(monkeypatch):
     return W20
 
 
-# theorem_suite's own fail exits, past the decomposition: the clause table,
-# v-state and vii-quotient, each with the clause that fires and the detail
-# that a completed part would have recorded
+# theorem_suite's own fail exits, past the decomposition: its own rows, the
+# state and the quotient tables, each with the clause that fires and the
+# detail that a run that did not fail would have recorded
 THEOREM_EXITS = [
     (_shifted_indexer, "vi-sum-closed", "v-state"),
     (_halved_state, "normalization", "v-state"),

@@ -237,8 +237,8 @@ IDEAL_BREAKS = {
     "downward-closed": (_tails_first_order, "a-monotone"),
     "prime": (_meet_zero_on_distinct, "iv-meet"),
     "normality": (_oplus_bumps_head_one, "vi-normal"),
-    "commutative-quotient": (_oplus_asymmetric_heads, "c-oplus"),
-    "oplus-closed": (_oplus_leaves_zero_slice, "c-oplus"),
+    "commutative-quotient": (_oplus_asymmetric_heads, "vi-normal"),
+    "oplus-closed": (_oplus_leaves_zero_slice, "vi-normal"),
     "right-residual": (_right_residual_zero, "vi-normal"),
 }
 
