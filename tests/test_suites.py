@@ -75,7 +75,7 @@ def test_theorem_suite_reports_the_decomposition_failure():
         assert dict(mutation_suite(seed))["indexer-shift"].counterexamples == dec.counterexamples
 
 
-def test_one_draw_per_sample(monkeypatch, capsys):
+def test_one_draw_per_sample(monkeypatch):
     # theorem_suite draws x, y, i, j and t once per sample for all its
     # tables, and the witness command x, y, v and t
     calls = []
@@ -91,7 +91,6 @@ def test_one_draw_per_sample(monkeypatch, capsys):
         calls.clear()
         assert cli.main(["run", "witness", text, "--samples", "30"]) == 0, text
         assert len(calls) == 4 * 30, text
-    capsys.readouterr()
 
 
 # the cyclic family mutants of mutation_suite, as tails of c_t on Gamma(Z lex Z,(2,1)):
