@@ -12,9 +12,10 @@ from .algebra import (
     PmvAlgebra,
     PmvElem,
     iterate,
+    left_residual,
     oplus_via_pea,
     ord_of,
-    residuals,
+    right_residual,
 )
 from .axioms import axiom_report, partial_sum_report, pea_equivalence_report
 from .finite import (

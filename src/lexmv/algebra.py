@@ -91,6 +91,9 @@ class PmvElem:
     l-groups", J. Austral. Math. Soc. 72, 2002), so each one is a call of
     the algebra's compiled kernel (``alg._kernels``), which computes on
     the unchecked values and builds the result without re-validating it.
+
+    Equality spans equal algebras; the hash is the value's alone, which
+    equal elements share, so a set of elements never hashes an algebra.
     """
 
     # declared here, not by slots=True, which rebuilds the class and
@@ -101,6 +104,9 @@ class PmvElem:
 
     def __post_init__(self):
         self.algebra._kernels.check(self.value)
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __reduce__(self):
         # a pickle is outside input: unpickling re-validates the value
@@ -213,17 +219,26 @@ def _compile(alg: PmvAlgebra) -> SimpleNamespace:
     )
 
 
-def residuals(x: PmvElem, y: PmvElem) -> tuple[PmvElem, PmvElem]:
-    """For y <= x: (x - y, -y + x), the left and right differences.
-
-    left + y = x and y + right = x as partial sums.
-    """
+def _below(x: PmvElem, y: PmvElem) -> None:
     x._same(y)
     if not y.le(x):
-        raise ValueError(f"residuals need y <= x, got y={y}, x={x}")
-    ops, make = x.algebra.ops, x.algebra._kernels.make
-    neg_y = ops.neg(y.value)
-    return (make(ops.add(x.value, neg_y)), make(ops.add(neg_y, x.value)))
+        raise ValueError(f"a residual needs y <= x, got y={y}, x={x}")
+
+
+def left_residual(x: PmvElem, y: PmvElem) -> PmvElem:
+    """For y <= x: the left difference x - y, with (x - y) + y = x as a
+    partial sum."""
+    _below(x, y)
+    ops = x.algebra.ops
+    return x.algebra._kernels.make(ops.add(x.value, ops.neg(y.value)))
+
+
+def right_residual(x: PmvElem, y: PmvElem) -> PmvElem:
+    """For y <= x: the right difference -y + x, with y + (-y + x) = x as a
+    partial sum."""
+    _below(x, y)
+    ops = x.algebra.ops
+    return x.algebra._kernels.make(ops.add(ops.neg(y.value), x.value))
 
 
 def oplus_via_pea(x: PmvElem, y: PmvElem) -> PmvElem:
@@ -231,9 +246,7 @@ def oplus_via_pea(x: PmvElem, y: PmvElem) -> PmvElem:
     sum; must agree with x.oplus(y) everywhere."""
     x._same(y)
     bminus = y.minus
-    m = x.meet(bminus)
-    left, _ = residuals(bminus, m)
-    return left.tilde
+    return left_residual(bminus, x.meet(bminus)).tilde
 
 
 def iterate(x: PmvElem, n: int, kind: str):

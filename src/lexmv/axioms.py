@@ -9,7 +9,7 @@ the CLI, mutation tests and the acceptance gate can certify it.
 from __future__ import annotations
 
 from . import groups as gr
-from .algebra import PmvAlgebra, iterate, oplus_via_pea, residuals
+from .algebra import PmvAlgebra, iterate, left_residual, oplus_via_pea, right_residual
 from .reports import Report, run_suite
 from .sampling import DEFAULT_BOUND, sample_elem
 
@@ -86,7 +86,7 @@ def partial_sum_report(
         # a+b = d+a = b+e with d = (a+b)-a and e = -b+(a+b)
         if ab is None:
             return None
-        d, e = residuals(ab, a)[0], residuals(ab, b)[1]
+        d, e = left_residual(ab, a), right_residual(ab, b)
         return (ops.add(d.value, a.value) != ab.value
                 or ops.add(b.value, e.value) != ab.value) and (a, b)
 

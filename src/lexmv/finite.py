@@ -292,12 +292,10 @@ def is_infinitesimal(a: FiniteMv, x: int) -> bool:
     acc = a.zero
     for _ in range(a.size + 1):
         nxt = a.partial_add(acc, x)
-        if nxt is None:
-            return False
-        if nxt == acc:
-            return True
+        if nxt is None or nxt == acc:
+            break
         acc = nxt
-    return True
+    return nxt is not None
 
 
 # ---------------------------------------------------------------------------

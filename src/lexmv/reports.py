@@ -34,19 +34,31 @@ class Report:
         return self
 
 
+# the most part tuples one run_suite call stores; past it the set only answers
+SEEN_BOUND = 4096
+
+
 def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Random], tuple],
               tables: Sequence[tuple], **details) -> Report:
     """The one loop of every sampled suite: one draw and its clause tables.
 
-    ``draw(rng)`` returns one sample's parts.  A table is ``(derive,
-    clauses, once)``: ``derive(*parts)`` returns the arguments of its
-    clauses, and a clause is ``(name, bad)``, where ``bad(*args)`` is falsy
-    when the clause holds and returns the witness items, stringified here,
-    when it does not.  The ``once`` clauses of every table take no
-    arguments and run first; then each seeded sample runs through the
-    tables' clauses in order, up to the first violation.  Zero sampled
-    instances and no failed ``once`` clause make the verdict ``"vacuous"``.
-    ``details`` are recorded unless the run fails."""
+    ``draw(rng)`` returns one sample's parts, a hashable tuple.  A table is
+    ``(derive, clauses, once)``: ``derive(*parts)`` returns the arguments
+    of its clauses, and a clause is ``(name, bad)``, where ``bad(*args)``
+    is falsy when the clause holds and returns the witness items,
+    stringified here, when it does not.  The ``once`` clauses of every
+    table take no arguments and run first; then each seeded sample runs
+    through the tables' clauses in order, up to the first violation.  Zero
+    sampled instances and no failed ``once`` clause make the verdict
+    ``"vacuous"``.  ``details`` are recorded unless the run fails.
+
+    The clauses are pure functions of the parts, so a draw that repeats
+    parts this call has already passed cannot fail: it is drawn (the rng
+    stream and ``samples`` stay as they are) but not derived or checked
+    again.  The set of passed parts lives for this call only, and stops
+    growing at SEEN_BOUND tuples, so memory stays bounded for any
+    ``samples``; past the bound, stored parts are still skipped and new
+    ones checked."""
     rep = Report(command, "pass", seed=seed, samples=samples)
     for _, _, once in tables:
         for name, bad in once:
@@ -54,14 +66,19 @@ def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Rand
             if found:
                 return rep.fail(name, [str(e) for e in found])
     rng = random.Random(seed)
+    seen = set()
     for _ in range(samples):
         parts = draw(rng)
+        if parts in seen:
+            continue
         for derive, clauses, _ in tables:
             args = derive(*parts)
             for name, bad in clauses:
                 found = bad(*args)
                 if found:
                     return rep.fail(name, [str(e) for e in found])
+        if len(seen) < SEEN_BOUND:
+            seen.add(parts)
     if samples == 0:
         rep.verdict = "vacuous"
     rep.details.update(details)

@@ -22,7 +22,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from . import groups as gr
-from .algebra import IntervalError, PmvAlgebra, PmvElem, ord_of, residuals
+from .algebra import (IntervalError, PmvAlgebra, PmvElem, left_residual, ord_of,
+                      right_residual)
 from .groups import GroupHom, GroupSpec, UnitalGroup
 from .reports import Report, run_suite
 from .sampling import DEFAULT_BOUND, clamp, sample_elem, sample_zero_slice
@@ -301,7 +302,7 @@ def theorem_suite(
     def normal(x, y, i, *_):
         # x (+) i = k (+) x and i (+) x = x (+) k2, with k and k2 in M_0
         xi, ix = x.oplus(i), i.oplus(x)
-        k, k2 = residuals(xi, x)[0], residuals(ix, x)[1]
+        k, k2 = left_residual(xi, x), right_residual(ix, x)
         return not (in_m0(k) and k.oplus(x) == xi and in_m0(k2) and x.oplus(k2) == ix) and (x, i)
 
     clauses = [

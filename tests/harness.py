@@ -2,7 +2,10 @@
 
 import random
 
-from lexmv.reports import run_suite
+import pytest
+
+from lexmv import axioms, reports, witnesses
+from lexmv.reports import Report, canonical_json, run_suite
 from lexmv.sampling import DEFAULT_BOUND, sample_elem
 from lexmv.witnesses import LexAlgebra, Mapping
 
@@ -24,6 +27,45 @@ def head_zero(x) -> bool:
     """Membership in the zero slice M_0 = {(0, g) : g >= 0} of a lex
     interval algebra: the head is 0, and g >= 0 follows from x >= 0."""
     return x.value[0] == x.algebra.spec.left.ops.zero
+
+
+def ref_run_suite(command, samples, seed, draw, tables, **details):
+    """run_suite's reference twin: the same loop without the set of passed
+    parts, so it derives and checks every draw, repeats included."""
+    rep = Report(command, "pass", seed=seed, samples=samples)
+    for _, _, once in tables:
+        for name, bad in once:
+            found = bad()
+            if found:
+                return rep.fail(name, [str(e) for e in found])
+    rng = random.Random(seed)
+    for _ in range(samples):
+        parts = draw(rng)
+        for derive, clauses, _ in tables:
+            args = derive(*parts)
+            for name, bad in clauses:
+                found = bad(*args)
+                if found:
+                    return rep.fail(name, [str(e) for e in found])
+    if samples == 0:
+        rep.verdict = "vacuous"
+    rep.details.update(details)
+    return rep
+
+
+def under_both_runners(run) -> tuple:
+    """run() under run_suite, then again with ref_run_suite patched into
+    every module that calls the runner.  run returns a Report or a list of
+    (name, Report); each side is its canonical JSON, to compare byte for byte."""
+    def canon(out):
+        return [(n, canonical_json(r)) for n, r in out] if isinstance(out, list) else canonical_json(out)
+
+    got = canon(run())
+    with pytest.MonkeyPatch.context() as m:
+        for mod in (axioms, reports, witnesses):
+            m.setattr(mod, "run_suite", ref_run_suite)
+        want = canon(run())
+    return got, want
 
 
 def ref_axiom_report(alg, samples: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND):

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from fractions import Fraction
 
-from harness import ref_axiom_report
+from harness import ref_axiom_report, under_both_runners
 from lexmv import groups as gr
 from lexmv.algebra import (
     CrossAlgebraError,
@@ -15,9 +15,10 @@ from lexmv.algebra import (
     PmvAlgebra,
     PmvElem,
     iterate,
+    left_residual,
     oplus_via_pea,
     ord_of,
-    residuals,
+    right_residual,
 )
 from lexmv.axioms import axiom_report, partial_sum_report, pea_equivalence_report
 from lexmv.reports import canonical_json
@@ -95,17 +96,15 @@ def test_partial_add():
 
 
 def test_residuals():
-    assert residuals(Z4.elem(3), Z4.elem(1)) == (Z4.elem(2), Z4.elem(2))
-    assert residuals(L10.elem((1, 0)), L10.elem((0, 5))) == (
-        L10.elem((1, -5)),
-        L10.elem((1, -5)),
-    )
+    for res in (left_residual, right_residual):
+        assert res(Z4.elem(3), Z4.elem(1)) == Z4.elem(2)
+        assert res(L10.elem((1, 0)), L10.elem((0, 5))) == L10.elem((1, -5))
+        with pytest.raises(ValueError):
+            res(Z4.elem(1), Z4.elem(3))
     na = alg(ZAFF, (1, gr.Aff(2, 0)))
-    left, right = residuals(na.elem((1, gr.Aff(2, 0))), na.elem((0, gr.Aff(1, 1))))
-    assert left == na.elem((1, gr.Aff(2, -2)))
-    assert right == na.elem((1, gr.Aff(2, -1)))
-    with pytest.raises(ValueError):
-        residuals(Z4.elem(1), Z4.elem(3))
+    x, y = na.elem((1, gr.Aff(2, 0))), na.elem((0, gr.Aff(1, 1)))
+    assert left_residual(x, y) == na.elem((1, gr.Aff(2, -2)))
+    assert right_residual(x, y) == na.elem((1, gr.Aff(2, -1)))
 
 
 def test_oplus_via_pea_values():
@@ -221,9 +220,8 @@ def test_ops_match_checked_group_formulas():
             else:
                 assert p is None
             if y.le(x):
-                left, right = residuals(x, y)
-                assert left.value == sub(xv, yv)
-                assert right.value == gr.g_add(spec, ops.neg(yv), xv)
+                assert left_residual(x, y).value == sub(xv, yv)
+                assert right_residual(x, y).value == gr.g_add(spec, ops.neg(yv), xv)
 
 
 BOUNDARY_CATALOG = TWIN_CATALOG + [
@@ -248,7 +246,7 @@ def test_unchecked_results_pass_the_boundary_check():
             if p is not None:
                 built.append(p)
             if y.le(x):
-                built.extend(residuals(x, y))
+                built += [left_residual(x, y), right_residual(x, y)]
             for e in built:
                 assert e.algebra is a
                 assert a.elem(e.value) == e, (str(a), e.value)
@@ -423,3 +421,11 @@ def test_broken_minus_fails_like_the_twin(monkeypatch, name, broken, seed, claus
     got, want = axiom_report(a, 100, seed), ref_axiom_report(a, 100, seed)
     assert got.verdict == "fail" and got.counterexamples[0]["clause"] == clause
     assert canonical_json(got) == canonical_json(want)
+
+
+@pytest.mark.parametrize("name, broken, seed, clause", BROKEN_MINUS)
+def test_broken_minus_fails_like_the_runner_twin(monkeypatch, name, broken, seed, clause):
+    a = SAMPLED_CATALOG[name]
+    monkeypatch.setattr(a._kernels, "minus", broken(a))
+    got, want = under_both_runners(lambda: axiom_report(a, 100, seed))
+    assert got == want and f'"clause": "{clause}"' in got

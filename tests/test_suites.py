@@ -1,14 +1,18 @@
-"""The one suite runner: verdicts at zero samples, one draw per sample, and
-the exits of the commands that run several clause tables in one loop."""
+"""The one suite runner: verdicts at zero samples, one draw per sample, the
+exits of the commands that run several clause tables in one loop, and the
+set of passed parts that skips repeated draws."""
 
 import dataclasses
 import json
+import random
 
 import pytest
 
-from lexmv import cli, dsl, witnesses
+from harness import head_zero, under_both_runners
+from lexmv import cli, dsl, reports, witnesses
 from lexmv import groups as gr
 from lexmv.axioms import axiom_report, partial_sum_report, pea_equivalence_report
+from lexmv.reports import run_suite
 from lexmv.witnesses import (
     LexAlgebra,
     PerfectWitness,
@@ -16,10 +20,13 @@ from lexmv.witnesses import (
     canonical_witness,
     check_cyclic,
     check_decomposition,
+    check_witness,
     mutation_suite,
+    quotient_to_base,
     state_on_lex,
     state_report,
     theorem_suite,
+    unique_state,
     verify_hom,
 )
 
@@ -201,3 +208,98 @@ def test_theorem_suite_fails_at_each_of_its_own_exits(monkeypatch, broken, claus
     assert rep.verdict == "fail"
     assert [c["clause"] for c in rep.counterexamples] == [clause]
     assert part not in rep.details and "algebra" not in rep.details
+
+
+# ---------------------------------------------------------------------------
+# The runner's set of passed parts, against its twin that checks every draw
+
+CATALOG = {
+    "Z7": "gamma(Z,7)",
+    "Q3-2": "gamma(Q,3/2)",
+    "Aff2": "gamma(Aff,aff(2,0))",
+    "ZxZ21": "gamma(lex(Z,Z),(2,1))",
+    "ZxAff": "gamma(lex(Z,Aff),(1,aff(2,0)))",
+    "ZxZ20": "gamma(lex(Z,Z),(2,0))",
+    "QxQ": "gamma(lex(Q,Q),(3/2,0))",
+}
+
+
+def _sampled_suites(alg) -> dict:
+    """Every sampled suite that applies to alg, each a function of the seed."""
+    n = 100
+    suites = {
+        "axiom_report": lambda s: axiom_report(alg, n, s),
+        "partial_sum_report": lambda s: partial_sum_report(alg, n, s),
+        "pea_equivalence_report": lambda s: pea_equivalence_report(alg, n, s),
+    }
+    if alg.spec.kind != "lex":
+        if alg.ops.state(alg.unit) is not None:
+            suites["state_report"] = lambda s: state_report(alg, unique_state(alg), n, s)
+        return suites
+    la = LexAlgebra.from_algebra(alg)
+    w = canonical_witness(la, "strong" if la.zero_offset else "weak")
+    suites.update({
+        "check_decomposition": lambda s: check_decomposition(w, n, s),
+        "check_cyclic": lambda s: check_cyclic(w, n, s),
+        "check_witness": lambda s: check_witness(w, n, s),
+        "theorem_suite": lambda s: theorem_suite(w, n, s),
+        "verify_hom_phi": lambda s: verify_hom(build_phi(w), n, s),
+    })
+    if la.zero_offset:
+        suites["verify_hom_quotient"] = lambda s: verify_hom(quotient_to_base(la), n, s,
+                                                             check_injective=False)
+        suites["state_report"] = lambda s: state_report(alg, state_on_lex(la), n, s,
+                                                        vanishes_on=head_zero)
+    return suites
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_sampled_suites_match_the_runner_twin(name):
+    # the skipped repeats change no report: same verdict, witness and details
+    alg = dsl.build_algebra(dsl.parse(CATALOG[name]))
+    for suite, run in _sampled_suites(alg).items():
+        for seed in range(10):
+            got, want = under_both_runners(lambda: run(seed))
+            assert got == want, (name, suite, seed)
+
+
+@pytest.mark.parametrize("broken, clause, part", THEOREM_EXITS)
+def test_theorem_exits_match_the_runner_twin(monkeypatch, broken, clause, part):
+    w = broken(monkeypatch)
+    got, want = under_both_runners(lambda: theorem_suite(w, 100))
+    assert got == want and f'"clause": "{clause}"' in got
+
+
+def test_mutation_suite_matches_the_runner_twin():
+    for seed in (0, 7):
+        got, want = under_both_runners(lambda: mutation_suite(seed))
+        assert got == want and all('"verdict": "fail"' in rep for _, rep in got), seed
+
+
+def _counting_suite(samples: int, seed: int = 5):
+    """run_suite on a draw from six tuples, with a clause that records the
+    parts it checks; returns (report, draws, checked)."""
+    draws, checked = [], []
+
+    def draw(rng):
+        draws.append((rng.randrange(3), rng.randrange(2)))
+        return draws[-1]
+
+    table = (lambda *p: p, [("count", lambda *p: checked.append(p))], ())
+    return run_suite("count", samples, seed, draw, [table]), draws, checked
+
+
+def test_run_suite_checks_each_distinct_sample_once(monkeypatch):
+    rep, draws, checked = _counting_suite(100)
+    assert rep.ok and len(draws) == 100 and len(set(draws)) == 6
+    assert sorted(checked) == sorted(set(draws))
+    # the same rng stream as a runner that checks every draw
+    ref = random.Random(5)
+    assert draws == [(ref.randrange(3), ref.randrange(2)) for _ in range(100)]
+    # past the bound, the stored parts are still skipped and new ones checked
+    monkeypatch.setattr(reports, "SEEN_BOUND", 2)
+    rep, draws, checked = _counting_suite(100)
+    assert rep.ok and len(draws) == 100
+    stored = list(dict.fromkeys(draws))[:2]
+    assert all(checked.count(p) == 1 for p in stored)
+    assert all(checked.count(p) == draws.count(p) > 1 for p in set(draws) - set(stored))

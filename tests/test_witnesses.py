@@ -5,7 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from harness import head_zero, hom_equal, ref_build_phi
+from harness import head_zero, hom_equal, ref_build_phi, under_both_runners
 from lexmv import groups as gr
 from lexmv import witnesses
 from lexmv.algebra import PmvAlgebra, PmvElem, ord_of
@@ -225,8 +225,7 @@ def _oplus_leaves_zero_slice(monkeypatch, alg):
 
 
 def _right_residual_zero(monkeypatch, alg):
-    res = witnesses.residuals
-    monkeypatch.setattr(witnesses, "residuals", lambda x, y: (res(x, y)[0], x.algebra.zero))
+    monkeypatch.setattr(witnesses, "right_residual", lambda x, y: x.algebra.zero)
 
 
 # one break of each ideal law of M_0, and the theorem_suite clause that catches
@@ -251,6 +250,16 @@ def test_theorem_suite_catches_each_ideal_break(monkeypatch, law):
     rep = theorem_suite(canonical_witness(fresh, "strong"), 200, seed=2)
     assert rep.verdict == "fail", law
     assert rep.counterexamples[0]["clause"] == clause, (law, rep.counterexamples)
+
+
+@pytest.mark.parametrize("law", IDEAL_BREAKS)
+def test_ideal_breaks_fail_like_the_runner_twin(monkeypatch, law):
+    fresh = la(gr.Z, 2, gr.Z, 0)
+    brk, clause = IDEAL_BREAKS[law]
+    brk(monkeypatch, fresh.algebra)
+    w = canonical_witness(fresh, "strong")
+    got, want = under_both_runners(lambda: theorem_suite(w, 200, seed=2))
+    assert got == want and f'"clause": "{clause}"' in got, law
 
 
 def test_quotient_to_base():
