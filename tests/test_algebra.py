@@ -421,11 +421,6 @@ def test_broken_minus_fails_like_the_twin(monkeypatch, name, broken, seed, claus
     got, want = axiom_report(a, 100, seed), ref_axiom_report(a, 100, seed)
     assert got.verdict == "fail" and got.counterexamples[0]["clause"] == clause
     assert canonical_json(got) == canonical_json(want)
-
-
-@pytest.mark.parametrize("name, broken, seed, clause", BROKEN_MINUS)
-def test_broken_minus_fails_like_the_runner_twin(monkeypatch, name, broken, seed, clause):
-    a = SAMPLED_CATALOG[name]
-    monkeypatch.setattr(a._kernels, "minus", broken(a))
+    # and like run_suite's twin, which checks every repeated draw again
     got, want = under_both_runners(lambda: axiom_report(a, 100, seed))
-    assert got == want and f'"clause": "{clause}"' in got
+    assert got == want
