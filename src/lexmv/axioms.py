@@ -49,31 +49,22 @@ def axiom_report(
                      algebra=str(alg), symmetric=alg.is_symmetric())
 
 
-def pea_equivalence_report(
-    alg: PmvAlgebra, samples: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
-) -> Report:
+def pea_equivalence_report(alg: PmvAlgebra, samples: int = 1000, seed: int = 0) -> Report:
     """oplus recovered from the partial-sum structure equals oplus."""
-
-    def draw(rng):
-        return sample_elem(alg, rng, bound), sample_elem(alg, rng, bound)
-
+    draw = lambda rng: (sample_elem(alg, rng), sample_elem(alg, rng))
     clauses = [("pea-oplus", lambda x, y: oplus_via_pea(x, y) != x.oplus(y) and (x, y))]
     return run_suite("pea-equivalence", samples, seed, draw, [(lambda *p: p, clauses, ())],
                      algebra=str(alg))
 
 
-def partial_sum_report(
-    alg: PmvAlgebra, samples: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
-) -> Report:
+def partial_sum_report(alg: PmvAlgebra, samples: int = 1000, seed: int = 0) -> Report:
     """PE1-PE4 on sampled triples where defined, the partial-sum/group-sum
     agreement, and the truncated-sum closed form n.x = (n*x) /\\ u."""
     ops, u = alg.ops, alg.unit
     one, zero_e = alg.one, alg.zero
 
     def draw(rng):
-        a = sample_elem(alg, rng, bound)
-        b = sample_elem(alg, rng, bound)
-        return a, b, sample_elem(alg, rng, bound), rng.randrange(21)
+        return sample_elem(alg, rng), sample_elem(alg, rng), sample_elem(alg, rng), rng.randrange(21)
 
     def pe1(a, b, c, ab, n):
         # (a+b)+c exists iff a+(b+c) exists, and then they are equal

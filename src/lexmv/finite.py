@@ -43,10 +43,10 @@ def _grid(n: int, f) -> tuple:
 
 @dataclass(frozen=True)
 class FiniteMv:
-    """A table algebra.  The axioms are checked at construction unless
-    unchecked is set, which only the library's own constructions do: their
-    tables satisfy the axioms whenever their inputs do.  A pickle loads
-    through the checked constructor, without the derived tables."""
+    """A table algebra, whose constructor checks the axioms; replace, copy
+    and pickles go through it (a pickle loads without the derived tables).
+    _trusted skips the scan for the library's constructions, whose tables
+    satisfy the axioms whenever their inputs do."""
 
     size: int
     oplus: tuple  # size x size index table
@@ -54,15 +54,13 @@ class FiniteMv:
     zero: int
     one: int
     labels: tuple = field(default=(), compare=False)
-    unchecked: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(self.size)))
-        if not self.unchecked:
-            rep = check_axioms(self)
-            if not rep.ok:
-                raise TableError(f"tables violate the axioms: {rep.counterexamples}")
+        rep = check_axioms(self)
+        if not rep.ok:
+            raise TableError(f"tables violate the axioms: {rep.counterexamples}")
 
     def __reduce__(self):
         # a pickle is outside input: rebuild it through the axiom scan
@@ -114,6 +112,15 @@ class FiniteMv:
         return f"finite[{self.size}]"
 
 
+def _trusted(size: int, oplus: tuple, neg: tuple, zero: int, one: int, labels: tuple) -> FiniteMv:
+    """A FiniteMv built without the axiom scan, for make_chain, make_product,
+    make_subalgebra and quotient; empty labels number the elements."""
+    a = object.__new__(FiniteMv)
+    vars(a).update(size=size, oplus=oplus, neg=neg, zero=zero, one=one,
+                   labels=labels or tuple(str(i) for i in range(size)))
+    return a
+
+
 def check_axioms(a: FiniteMv) -> Report:
     """A1-A8 over all index pairs/triples, table closure, and a commutative
     (+), which with A6 and A7 makes Chang's MV axioms.  No finite pseudo
@@ -161,7 +168,7 @@ def make_chain(n: int) -> FiniteMv:
     m = n + 1
     op = tuple(tuple(min(i + j, n) for j in range(m)) for i in range(m))
     ng = tuple(n - i for i in range(m))
-    return FiniteMv(m, op, ng, 0, n, unchecked=True)
+    return _trusted(m, op, ng, 0, n, ())
 
 
 def make_product(a: FiniteMv, b: FiniteMv) -> FiniteMv:
@@ -181,7 +188,7 @@ def make_product(a: FiniteMv, b: FiniteMv) -> FiniteMv:
     labels = tuple(
         f"({a.labels[i]},{b.labels[j]})" for i in range(a.size) for j in range(b.size)
     )
-    return FiniteMv(m, op, ng, idx(a.zero, b.zero), idx(a.one, b.one), labels, unchecked=True)
+    return _trusted(m, op, ng, idx(a.zero, b.zero), idx(a.one, b.one), labels)
 
 
 def make_subalgebra(a: FiniteMv, subset) -> FiniteMv:
@@ -202,7 +209,7 @@ def make_subalgebra(a: FiniteMv, subset) -> FiniteMv:
     op = tuple(tuple(pos[a.oplus[x][y]] for y in elems) for x in elems)
     ng = tuple(pos[a.neg[x]] for x in elems)
     labels = tuple(a.labels[x] for x in elems)
-    return FiniteMv(m, op, ng, pos[a.zero], pos[a.one], labels, unchecked=True)
+    return _trusted(m, op, ng, pos[a.zero], pos[a.one], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +309,20 @@ def is_infinitesimal(a: FiniteMv, x: int) -> bool:
 # Quotients, sections, complements
 
 
-def quotient(a: FiniteMv, mask: int) -> tuple:
-    """(A / I, projection list) for an ideal I, normal like every ideal.  A
-    mask is an ideal iff it is the ideal generated by s, the (+) of its
-    members: each member is at most s, and an ideal holding them holds s."""
+def _ideal_of(a: FiniteMv, mask: int) -> int:
+    """The ideal generated by a mask: the ideal generated by s, the (+) of
+    its members, since each member is at most s and an ideal holding them
+    holds s.  So a mask is an ideal iff it is its own _ideal_of."""
     s = a.zero
     for i in range(a.size):
         if mask >> i & 1:
             s = a.oplus[s][i]
-    if mask != generated_normal_ideal(a, s):
+    return generated_normal_ideal(a, s)
+
+
+def quotient(a: FiniteMv, mask: int) -> tuple:
+    """(A / I, projection list) for an ideal I, normal like every ideal."""
+    if mask != _ideal_of(a, mask):
         raise TableError("not an ideal")
     proj = [-1] * a.size
     reps = []
@@ -327,7 +339,7 @@ def quotient(a: FiniteMv, mask: int) -> tuple:
     op = tuple(tuple(proj[a.oplus[reps[i]][reps[j]]] for j in range(m)) for i in range(m))
     ng = tuple(proj[a.neg[reps[i]]] for i in range(m))
     labels = tuple(f"[{a.labels[r]}]" for r in reps)
-    q = FiniteMv(m, op, ng, proj[a.zero], proj[a.one], labels, unchecked=True)
+    q = _trusted(m, op, ng, proj[a.zero], proj[a.one], labels)
     return q, tuple(proj)
 
 
@@ -414,12 +426,11 @@ def _closure(a: FiniteMv, seed: int, closed: int = 0) -> int:
 def _subalgebra_masks(a: FiniteMv, avoid: int = 0) -> list:
     """Every subalgebra disjoint from `avoid`, as sorted masks, found by
     closure search: start from the subalgebra {0, 1} and extend each one
-    found by one element at a time.  A subalgebra disjoint from `avoid`
-    lies above a chain of such one-element extensions, so extensions that
-    meet `avoid` need not be searched further."""
+    found by one element at a time.  `avoid` must not hold 0 or 1, so that
+    {0, 1} is disjoint from it.  A subalgebra disjoint from `avoid` lies
+    above a chain of such one-element extensions, so extensions that meet
+    `avoid` need not be searched further."""
     start = _closure(a, 0)
-    if start & avoid:
-        return []
     found = {start}
     todo = [start]
     while todo:
@@ -435,12 +446,10 @@ def _subalgebra_masks(a: FiniteMv, avoid: int = 0) -> list:
 
 
 def has_complement(a: FiniteMv, mask: int) -> tuple:
-    """(bool, subalgebra mask S) with S meeting <I> only in {0, 1} and
-    generating A together with <I>; S is the smallest such mask."""
-    gen = mask
-    for i in range(a.size):
-        if mask >> i & 1:
-            gen |= generated_normal_ideal(a, i)
+    """(bool, subalgebra mask S) with S meeting <I>, the ideal the mask
+    generates, only in {0, 1} and generating A together with <I>; S is
+    the smallest such mask."""
+    gen = _ideal_of(a, mask)
     trivial = 1 << a.zero | 1 << a.one
     full = (1 << a.size) - 1
     for s in _subalgebra_masks(a, avoid=gen & ~trivial):

@@ -197,12 +197,10 @@ def _decomposition_table(w: PerfectWitness) -> tuple:
     return derive, clauses, ()
 
 
-def check_decomposition(
-    w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
-) -> Report:
+def check_decomposition(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -> Report:
     """Definition clauses (a)-(c) plus the partial-sum and lattice slice laws."""
     alg = w.algebra
-    draw = lambda rng: (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound))
+    draw = lambda rng: (sample_elem(alg, rng), sample_elem(alg, rng))
     return run_suite("check-decomposition", sample_budget, seed, draw, [_decomposition_table(w)],
                      algebra=str(alg))
 
@@ -226,14 +224,11 @@ def _cyclic_table(w: PerfectWitness) -> tuple:
     return lambda v, t: (v, t, family(v), family(t), h.add(v, t)), clauses, once
 
 
-def check_cyclic(
-    w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
-) -> Report:
+def check_cyclic(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -> Report:
     """Cyclic family clauses: slice membership and centrality, additivity
     c_v + c_t = c_{v+t}, the origin law c_0 = 0, and c_u = 1 for strong."""
     base_alg = w.lexalg.base_algebra
-    draw = lambda rng: (sample_elem(base_alg, rng, bound).value,
-                        sample_elem(base_alg, rng, bound).value)
+    draw = lambda rng: (sample_elem(base_alg, rng).value, sample_elem(base_alg, rng).value)
     return run_suite("check-cyclic", sample_budget, seed, draw, [_cyclic_table(w)],
                      algebra=str(w.algebra), kind=w.kind)
 
@@ -257,9 +252,7 @@ def check_witness(
     return rep
 
 
-def theorem_suite(
-    w: PerfectWitness, sample_budget: int = 1000, seed: int = 0, bound: int = DEFAULT_BOUND
-) -> Report:
+def theorem_suite(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -> Report:
     """The full slice-structure theorem as sampled checks, clauses i-ix:
     partial-sum slice laws (i-iii), lattice slice law (iv), a state
     vanishing on M_0 (v), M_0 a normal ideal with M_0 + M_0 = M_0 inside
@@ -276,9 +269,8 @@ def theorem_suite(
     in_m0 = lambda e: e is not None and w.indexer(e) == h.zero
 
     def draw(rng):
-        return (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound),
-                sample_zero_slice(alg, rng, bound), sample_zero_slice(alg, rng, bound),
-                sample_elem(la.base_algebra, rng, bound))
+        return (sample_elem(alg, rng), sample_elem(alg, rng), sample_zero_slice(alg, rng),
+                sample_zero_slice(alg, rng), sample_elem(la.base_algebra, rng))
 
     def derive(x, y, i, j, t):
         ix = w.indexer(x)
@@ -484,12 +476,11 @@ def state_report(
     s: Callable[[PmvElem], Fraction],
     sample_budget: int = 1000,
     seed: int = 0,
-    bound: int = DEFAULT_BOUND,
     vanishes_on: Optional[Callable[[PmvElem], bool]] = None,
 ) -> Report:
     """s(1) = 1 and additivity on defined partial sums sampled from alg;
     optionally s(a) = 0 on the samples a with vanishes_on(a), a predicate."""
-    draw = lambda rng: (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound))
+    draw = lambda rng: (sample_elem(alg, rng), sample_elem(alg, rng))
     return run_suite("state", sample_budget, seed, draw, [_state_table(alg, s, vanishes_on)])
 
 

@@ -63,8 +63,17 @@ def test_make_subalgebra():
     sub = make_subalgebra(P22, diag)
     ok, _ = brute_isomorphic(sub, C2)
     assert ok
-    with pytest.raises(TableError):
-        make_subalgebra(P22, [0, 1, 8])
+
+
+def test_make_subalgebra_refuses_subsets_that_are_not_subalgebras():
+    """One subset per refusal, each refused with its own message."""
+    for subset, message in [
+        ([0, 4], "subset must contain 0 and 1"),  # (0,0), (1,1): no (2,2)
+        ([0, 1, 8], r"not closed under neg at \(0,1\)"),  # (0,1)- = (2,1)
+        ([0, 1, 7, 8], r"not closed under oplus at \(\(0,1\), \(0,1\)\)"),  # (0,2)
+    ]:
+        with pytest.raises(TableError, match=message):
+            make_subalgebra(P22, subset)
 
 
 def test_check_axioms_catches_corruption():
@@ -91,7 +100,7 @@ def test_check_axioms_catches_corruption():
             op[cell[0]][cell[1]] = cell[2]
         parts = dict(size=base.size, oplus=tuple(map(tuple, op)), neg=base.neg, zero=base.zero,
                      one=base.one)
-        rep = finite.check_axioms(FiniteMv(**{**parts, **fields}, unchecked=True))
+        rep = finite.check_axioms(finite._trusted(**{**parts, **fields}, labels=()))
         assert rep.verdict == "fail"
         assert [c["clause"] for c in rep.counterexamples] == [clause], clause
         with pytest.raises(TableError, match=f"'{clause}'"):
@@ -267,8 +276,8 @@ def test_state_and_rdp2_checks_fail_on_tables_that_break_a_law():
     breaks A3, that state is not normalized."""
     op = [list(r) for r in C4.oplus]
     op[1][1] = 3
-    broken = FiniteMv(5, tuple(map(tuple, op)), C4.neg, 0, 4, unchecked=True)
-    moved = FiniteMv(5, C4.oplus, C4.neg, 0, 3, unchecked=True)
+    broken = finite._trusted(5, tuple(map(tuple, op)), C4.neg, 0, 4, ())
+    moved = finite._trusted(5, C4.oplus, C4.neg, 0, 3, ())
     assert [finite.check_axioms(t).counterexamples[0]["clause"] for t in (broken, moved)] == [
         "A6", "A3"]
     (s4,) = extremal_states(C4)
@@ -329,11 +338,11 @@ def test_pickles_load_through_the_checked_constructor():
     with pytest.raises(TableError):
         FiniteMv(**forged)
     with pytest.raises(TableError):
-        pickle.loads(pickle.dumps(FiniteMv(**forged, unchecked=True)))
+        pickle.loads(pickle.dumps(finite._trusted(**forged, labels=())))
     for t in (P22, quotient(P22, mask_of(P22, [0, 3, 6]))[0], parse_table(format_table(C4))):
         tables = {k: getattr(t, k) for k in DERIVED}
         again = pickle.loads(pickle.dumps(t))
-        assert again == t and again.labels == t.labels and not again.unchecked
+        assert again == t and again.labels == t.labels
         assert not vars(again).keys() & DERIVED  # the derived tables are not pickled
         assert {k: getattr(again, k) for k in DERIVED} == tables
 
@@ -363,7 +372,7 @@ def small_tables(n):
         op = tuple(tuple(top if top in (x, y) else y if x == 0 else x if y == 0 else next(free)
                          for y in range(n)) for x in range(n))
         for neg in sorted(negs):
-            yield FiniteMv(n, op, neg, 0, top, unchecked=True)
+            yield finite._trusted(n, op, neg, 0, top, ())
 
 
 def test_small_tables_that_pass_the_axiom_scan_are_commutative():
@@ -517,7 +526,7 @@ def library_tables(rng):
 
 
 def test_library_tables_pass_the_axiom_scan():
-    # these builds skip the scan in FiniteMv; the scan is their reference
+    # these builds skip the scan through finite._trusted; the scan is their reference
     tables = library_tables(random.Random(10))
     assert len(tables) > 300
     for t in tables:
@@ -600,11 +609,22 @@ def ref_generated_normal_ideal(a, x):
     return sum(1 << y for y in range(a.size) if a.le(y, top))
 
 
+def ref_ideal_of(a, mask):
+    """The least set that holds mask and 0 and is closed downward and
+    under (+), by fixed point with the le method."""
+    gen, grown = 0, mask | 1 << a.zero
+    while grown != gen:
+        gen = grown
+        members = [i for i in range(a.size) if gen >> i & 1]
+        for i in members:
+            grown |= sum(1 << x for x in range(a.size) if a.le(x, i))
+            for j in members:
+                grown |= 1 << a.oplus[i][j]
+    return gen
+
+
 def ref_has_complement(a, mask):
-    gen = mask
-    for i in range(a.size):
-        if mask >> i & 1:
-            gen |= ref_generated_normal_ideal(a, i)
+    gen = ref_ideal_of(a, mask)
     trivial = 1 << a.zero | 1 << a.one
     for s in ref_subalgebra_masks(a, avoid=gen & ~trivial):
         if ref_closure(a, s | gen) == (1 << a.size) - 1:
@@ -648,8 +668,21 @@ def test_closures_match_the_fixed_point(seed):
         assert subs == ref_subalgebra_masks(t), str(t)
         for s in subs:
             assert finite._closure(t, 0, s) == s
-        for m in finite.enumerate_ideal_masks(t):
+        # every mask of the small tables: one that is not an ideal
+        # generates the least ideal holding it
+        masks = range(1 << t.size) if t.size <= 6 else finite.enumerate_ideal_masks(t)
+        for m in masks:
             assert has_complement(t, m) == ref_has_complement(t, m), (str(t), m)
+
+
+def test_has_complement_takes_the_ideal_a_mask_generates():
+    """{((0,1),0), ((1,0),0)} generates an ideal that also holds
+    ((1,1),0), which the union of its members' principal ideals misses;
+    the subalgebra that meets the ideal there is no complement."""
+    t = make_product(make_product(make_chain(1), make_chain(1)), C2)
+    m = mask_of(t, [3, 6])
+    assert t.mask_labels(ref_ideal_of(t, m)) == ["((0,0),0)", "((0,1),0)", "((1,0),0)", "((1,1),0)"]
+    assert has_complement(t, m) == ref_has_complement(t, m) == (False, None)
 
 
 @pytest.mark.parametrize("seed", [17, 18])

@@ -1,7 +1,9 @@
 import ast
 import copy
+import dataclasses
 import functools
 import gc
+import inspect
 import math
 import pickle
 import random
@@ -11,7 +13,7 @@ import pytest
 from fractions import Fraction
 
 from harness import hom_equal
-from lexmv import dsl
+from lexmv import axioms, dsl, finite, witnesses
 from lexmv import groups as gr
 from lexmv.algebra import PmvAlgebra
 from lexmv.sampling import DEFAULT_BOUND, clamp, sample_elem, sample_zero_slice
@@ -769,7 +771,8 @@ def test_library_modules_compute_with_the_ops_record():
     axioms.py and reports.py bind no dict or set at module level, so
     run_suite's set of passed samples is never shared across runs.  Each
     caller of a residual keeps one side, so the two-sided residuals stays
-    gone."""
+    gone.  Only finite._trusted skips FiniteMv's axiom scan, so no module
+    reads an unchecked flag."""
     checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
     unchecked = {"_kernels", "_make"}
     retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
@@ -777,7 +780,7 @@ def test_library_modules_compute_with_the_ops_record():
                "ideal_flags", "StateFn", "SymbolicIdeal", "_is_ideal", "is_normal",
                "_is_commutative", "AffNode", "_ARITY", "finite_size", "as_finite",
                "canonical_lex_ideal", "residuals"}
-    retired_members = {"strong_form", "merge"}
+    retired_members = {"strong_form", "merge", "unchecked"}
     kind_free = {("dsl.py", "build_elem"), ("dsl.py", "finite"), ("groups.py", "GroupHom")}
     retired_hom_methods = {"_sampled_validation", "_injective", "_null"}
     call_scoped = {"witnesses.py", "axioms.py", "reports.py"}
@@ -845,6 +848,20 @@ def test_library_modules_compute_with_the_ops_record():
                 continue
             assert not names & retired, f"{path.name}:{node.lineno} defines {names & retired}"
     assert not kind_free, f"not found: {kind_free}"
+
+
+def test_retired_options_stay_gone():
+    """Only the suites the CLI's --bound reaches take a bound, and FiniteMv
+    takes no unchecked switch, so replace cannot copy one past the scan."""
+    suites = [f for mod in (axioms, witnesses) for name, f in vars(mod).items()
+              if inspect.isfunction(f) and f.__module__ == mod.__name__ and not name.startswith("_")]
+    assert {f.__name__ for f in suites if "bound" in inspect.signature(f).parameters} == {
+        "axiom_report", "check_witness", "verify_hom"}
+    c2 = finite.make_chain(2)
+    with pytest.raises(TypeError):
+        finite.FiniteMv(c2.size, c2.oplus, c2.neg, c2.zero, c2.one, unchecked=True)
+    with pytest.raises(finite.TableError):
+        dataclasses.replace(c2, oplus=((0, 1, 2), (1, 0, 2), (2, 2, 2)))
 
 
 def test_scale_presentation_types():
