@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 
@@ -34,7 +35,7 @@ class Report:
         return self
 
 
-# the most part tuples one run_suite call stores; past it the set only answers
+# the most keys one table stores in one run_suite call; past it its set only answers
 SEEN_BOUND = 4096
 
 
@@ -42,43 +43,48 @@ def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Rand
               tables: Sequence[tuple], **details) -> Report:
     """The one loop of every sampled suite: one draw and its clause tables.
 
-    ``draw(rng)`` returns one sample's parts, a hashable tuple.  A table is
-    ``(derive, clauses, once)``: ``derive(*parts)`` returns the arguments
-    of its clauses, and a clause is ``(name, bad)``, where ``bad(*args)``
-    is falsy when the clause holds and returns the witness items,
-    stringified here, when it does not.  The ``once`` clauses of every
-    table take no arguments and run first; then each seeded sample runs
-    through the tables' clauses in order, up to the first violation.  Zero
-    sampled instances and no failed ``once`` clause make the verdict
-    ``"vacuous"``.  ``details`` are recorded unless the run fails.
+    ``draw(rng)`` returns one sample's parts, a tuple.  A table is
+    ``(reads, derive, clauses, once)``: ``derive`` takes the parts at the
+    indices ``reads`` (its key) and returns the arguments of its clauses,
+    and a clause is ``(name, bad)``, where ``bad(*args)`` is falsy when the
+    clause holds and returns the witness items, stringified here, when it
+    does not.  Every table's ``once`` clauses run first; then each sample
+    runs through the tables' clauses in order, up to the first violation.
+    Zero samples and no failed ``once`` clause make the verdict
+    ``"vacuous"``; negative ``samples`` raise ValueError.  ``details`` are
+    recorded unless the run fails.
 
-    The clauses are pure functions of the parts, so a draw that repeats
-    parts this call has already passed cannot fail: it is drawn (the rng
-    stream and ``samples`` stay as they are) but not derived or checked
-    again.  The set of passed parts lives for this call only, and stops
-    growing at SEEN_BOUND tuples, so memory stays bounded for any
-    ``samples``; past the bound, stored parts are still skipped and new
-    ones checked."""
+    A table's clauses are pure functions of its key, so a key that passed
+    in this call cannot fail: the draw still happens (the rng stream stays
+    as it is), but that table's derive and clauses are skipped; a table
+    that reads no part runs in the first sample only.  Each table's set of
+    passed keys lives for this call and stops growing at SEEN_BOUND keys,
+    past which stored keys are still skipped and new ones checked."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rep = Report(command, "pass", seed=seed, samples=samples)
-    for _, _, once in tables:
+    for *_, once in tables:
         for name, bad in once:
             found = bad()
             if found:
                 return rep.fail(name, [str(e) for e in found])
     rng = random.Random(seed)
-    seen = set()
+    # itemgetter returns a bare part for one index, so one index or none takes a slice
+    runs = [(itemgetter(*r) if len(r) > 1 else itemgetter(slice(*r, r[0] + 1) if r else slice(0)),
+             set(), derive, clauses) for r, derive, clauses, _ in tables]
     for _ in range(samples):
         parts = draw(rng)
-        if parts in seen:
-            continue
-        for derive, clauses, _ in tables:
-            args = derive(*parts)
+        for key, seen, derive, clauses in runs:
+            read = key(parts)
+            if read in seen:
+                continue
+            args = derive(*read)
             for name, bad in clauses:
                 found = bad(*args)
                 if found:
                     return rep.fail(name, [str(e) for e in found])
-        if len(seen) < SEEN_BOUND:
-            seen.add(parts)
+            if len(seen) < SEEN_BOUND:
+                seen.add(read)
     if samples == 0:
         rep.verdict = "vacuous"
     rep.details.update(details)

@@ -166,7 +166,7 @@ def _decomposition_table(w: PerfectWitness) -> tuple:
     h = hs.ops
     uh = w.lexalg.base.unit
 
-    def derive(x, y, *_):
+    def derive(x, y):
         # the indexer is the witness's own code: its values enter here
         v, t = idx(x), idx(y)
         gr.check_shape(hs, v)
@@ -194,7 +194,7 @@ def _decomposition_table(w: PerfectWitness) -> tuple:
         ("iv-join", lambda x, y, v, t, *_: idx(x.join(y)) != h.join(v, t) and (x, y)),
         ("iv-meet", lambda x, y, v, t, *_: idx(x.meet(y)) != h.meet(v, t) and (x, y)),
     ]
-    return derive, clauses, ()
+    return (0, 1), derive, clauses, ()
 
 
 def check_decomposition(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -> Report:
@@ -221,7 +221,7 @@ def _cyclic_table(w: PerfectWitness) -> tuple:
         ("ii-additivity", lambda v, t, cv, ct, vt: h.cmp(vt, uh) <= 0
          and alg.ops.add(cv.value, ct.value) != family(vt).value and (cv, ct)),
     ]
-    return lambda v, t: (v, t, family(v), family(t), h.add(v, t)), clauses, once
+    return (0, 1), lambda v, t: (v, t, family(v), family(t), h.add(v, t)), clauses, once
 
 
 def check_cyclic(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -> Report:
@@ -239,13 +239,12 @@ def check_witness(
     """The decomposition and cyclic tables in one loop over the parts x, y
     (elements) and v, t (slice indices)."""
     alg, base_alg = w.algebra, w.lexalg.base_algebra
-    c_derive, c_clauses, c_once = _cyclic_table(w)
 
     def draw(rng):
         return (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound),
                 sample_elem(base_alg, rng, bound).value, sample_elem(base_alg, rng, bound).value)
 
-    tables = [_decomposition_table(w), (lambda x, y, v, t: c_derive(v, t), c_clauses, c_once)]
+    tables = [_decomposition_table(w), ((2, 3), *_cyclic_table(w)[1:])]
     rep = run_suite("check-witness", sample_budget, seed, draw, tables, algebra=str(alg))
     if rep.verdict != "fail":
         rep.details["decomposition"] = rep.details["cyclic"] = rep.verdict
@@ -272,12 +271,12 @@ def theorem_suite(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -
         return (sample_elem(alg, rng), sample_elem(alg, rng), sample_zero_slice(alg, rng),
                 sample_zero_slice(alg, rng), sample_elem(la.base_algebra, rng))
 
-    def derive(x, y, i, j, t):
+    def head(x):
         ix = w.indexer(x)
         gr.check_shape(hs, ix)
-        return x, y, i, j, t.value, ix
+        return ix
 
-    def slice_sum(x, y, i, j, t, ix):
+    def slice_sum(x, t, ix):
         # (ii) surjectivity of M_v + M_t onto M_{v+t}: peel c_t off x.
         # Interior slices contain every tail, so x - c_t stays in the
         # interval exactly when 0 < v; v = 0 is the trivial split 0 + x
@@ -291,27 +290,28 @@ def theorem_suite(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -
             return (x, h.fmt(t))
         return (w.indexer(a) != v or a.partial_add(ct) != x) and (x, h.fmt(t))
 
-    def normal(x, y, i, *_):
+    def normal(x, i):
         # x (+) i = k (+) x and i (+) x = x (+) k2, with k and k2 in M_0
         xi, ix = x.oplus(i), i.oplus(x)
         k, k2 = left_residual(xi, x), right_residual(ix, x)
         return not (in_m0(k) and k.oplus(x) == xi and in_m0(k2) and x.oplus(k2) == ix) and (x, i)
 
-    clauses = [
-        ("ii-slice-sum", slice_sum),
-        # (vi) M_0 + M_0 = M_0, normality, infinitesimality
-        ("vi-sum-closed", lambda x, y, i, j, *_: h.cmp(uh, h.zero) > 0
-         and not in_m0(i.partial_add(j)) and (i, j)),
-        ("vi-normal", normal),
-        ("vi-infinitesimal", lambda x, y, i, *_: ord_of(i) is not math.inf and i != zero_e
-         and (i,)),
+    # (vi) M_0 + M_0 = M_0, normality, infinitesimality
+    closed = [("vi-sum-closed", lambda i, j: h.cmp(uh, h.zero) > 0
+               and not in_m0(i.partial_add(j)) and (i, j))]
+    ideal = [("vi-normal", normal),
+             ("vi-infinitesimal", lambda x, i: ord_of(i) is not math.inf and i != zero_e and (i,))]
+    pair = [
         # (ix) primality of M_0
-        ("ix-prime", lambda x, y, i, j, t, ix: in_m0(x.meet(y))
-         and not (ix == h.zero or in_m0(y)) and (x, y)),
+        ("ix-prime", lambda x, y, ix: in_m0(x.meet(y)) and not (ix == h.zero or in_m0(y))
+         and (x, y)),
         # (viii) the indexing is forced: it agrees with the head coordinate
-        ("viii-unique", lambda x, y, i, j, t, ix: ix != x.value[0] and (x,)),
+        ("viii-unique", lambda x, y, ix: ix != x.value[0] and (x,)),
     ]
-    tables = [_decomposition_table(w), (derive, clauses, ())]
+    tables = [_decomposition_table(w),
+              ((0, 4), lambda x, t: (x, t.value, head(x)), [("ii-slice-sum", slice_sum)], ()),
+              ((2, 3), lambda *p: p, closed, ()), ((0, 2), lambda *p: p, ideal, ()),
+              ((0, 1), lambda x, y: (x, y, head(x)), pair, ())]
     # (v) and (vii) need the offset-0 form; the state is s0 o head
     skipped = {}
     if not la.zero_offset:
@@ -321,8 +321,7 @@ def theorem_suite(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -
             tables.append(_state_table(alg, state_on_lex(la), in_m0))
         except UnsupportedBaseError:
             skipped["v-state"] = "skipped: no closed-form base state"
-        q_derive, q_clauses, q_once = _hom_table(quotient_to_base(la), False)
-        tables.append((lambda x, y, i, j, t: q_derive(x, y, t), q_clauses, q_once))
+        tables += _hom_tables(quotient_to_base(la), False, z=4)
     rep = run_suite("theorem-suite", sample_budget, seed, draw, tables, algebra=str(alg), **skipped)
     if rep.verdict != "fail":
         for part in ("v-state", "vii-quotient"):
@@ -375,26 +374,25 @@ def build_phi(w: PerfectWitness) -> Mapping:
     return Mapping(alg, target, fn, preimage, description="phi(x) = (t, x - c_t)")
 
 
-def _hom_table(m: Mapping, check_injective: bool) -> tuple:
-    """verify_hom's table, on x, y from the source and z from the target."""
+def _hom_tables(m: Mapping, check_injective: bool, z: int = 2) -> list:
+    """verify_hom's tables, on x, y from the source (parts 0, 1) and z from the target."""
     f = m.fn
     once = [
         ("zero", lambda: f(m.source.zero) != m.target.zero and ("f(0) != 0",)),
         ("unit", lambda: f(m.source.one) != m.target.one and (f(m.source.one),)),
     ]
     clauses = [
-        ("oplus", lambda x, y, fx, fy, z: f(x.oplus(y)) != fx.oplus(fy) and (x, y)),
-        ("odot", lambda x, y, fx, fy, z: f(x.odot(y)) != fx.odot(fy) and (x, y)),
-        ("negations", lambda x, y, fx, fy, z: f(x.minus) != fx.minus and (x,)),
-        ("negations", lambda x, y, fx, fy, z: f(x.tilde) != fx.tilde and (x,)),
-        ("lattice", lambda x, y, fx, fy, z: f(x.join(y)) != fx.join(fy) and (x, y)),
-        ("lattice", lambda x, y, fx, fy, z: f(x.meet(y)) != fx.meet(fy) and (x, y)),
-        ("injectivity", lambda x, y, fx, fy, z: check_injective and x != y and fx == fy
-         and (x, y)),
-        ("surjectivity", lambda x, y, fx, fy, z: z is not None and f(m.preimage(z)) != z
-         and (z,)),
+        ("oplus", lambda x, y, fx, fy: f(x.oplus(y)) != fx.oplus(fy) and (x, y)),
+        ("odot", lambda x, y, fx, fy: f(x.odot(y)) != fx.odot(fy) and (x, y)),
+        ("negations", lambda x, y, fx, fy: f(x.minus) != fx.minus and (x,)),
+        ("negations", lambda x, y, fx, fy: f(x.tilde) != fx.tilde and (x,)),
+        ("lattice", lambda x, y, fx, fy: f(x.join(y)) != fx.join(fy) and (x, y)),
+        ("lattice", lambda x, y, fx, fy: f(x.meet(y)) != fx.meet(fy) and (x, y)),
+        ("injectivity", lambda x, y, fx, fy: check_injective and x != y and fx == fy and (x, y)),
     ]
-    return lambda x, y, z: (x, y, f(x), f(y), z), clauses, once
+    onto = [("surjectivity", lambda z: z is not None and f(m.preimage(z)) != z and (z,))]
+    return [((0, 1), lambda x, y: (x, y, f(x), f(y)), clauses, once),
+            ((z,), lambda *p: p, onto, ())]
 
 
 def verify_hom(
@@ -412,7 +410,7 @@ def verify_hom(
         y = sample_elem(m.source, rng, bound)
         return x, y, sample_elem(m.target, rng, bound) if m.preimage is not None else None
 
-    return run_suite("verify-hom", sample_budget, seed, draw, [_hom_table(m, check_injective)],
+    return run_suite("verify-hom", sample_budget, seed, draw, _hom_tables(m, check_injective),
                      surjectivity="checked" if m.preimage is not None else "not-checked",
                      injectivity="checked" if check_injective else "not-checked",
                      map=m.description)
@@ -423,20 +421,21 @@ def verify_hom(
 
 
 def quotient_to_base(lexalg: LexAlgebra) -> Mapping:
-    """The head projection onto Gamma(H, u); its kernel is the zero slice M_0."""
+    """The head projection onto Gamma(H, u); its kernel is the zero slice M_0.
+    Its images are built unchecked: for x in [0, (u, 0)] the lex order gives
+    0 <= head <= u, and for t in [0, u], (t, 0) lies in [0, (u, 0)]."""
     if not lexalg.zero_offset:
         raise WitnessError("quotient-to-base is stated for offset 0")
-    alg = lexalg.algebra
-    base_alg = lexalg.base_algebra
+    make, base_make = lexalg.algebra._kernels.make, lexalg.base_algebra._kernels.make
     fiber_zero = lexalg.fiber.ops.zero
 
     def fn(x: PmvElem) -> PmvElem:
-        return base_alg.elem(x.value[0])
+        return base_make(x.value[0])
 
     def preimage(t: PmvElem) -> PmvElem:
-        return alg.elem((t.value, fiber_zero))
+        return make((t.value, fiber_zero))
 
-    return Mapping(alg, base_alg, fn, preimage, description="head projection")
+    return Mapping(lexalg.algebra, lexalg.base_algebra, fn, preimage, description="head projection")
 
 
 def _closed_form_state(g: UnitalGroup) -> Callable[[object], Fraction]:
@@ -468,7 +467,7 @@ def _state_table(alg: PmvAlgebra, s: Callable, vanishes_on: Optional[Callable]) 
         ("vanishes-on-ideal", lambda a, b, ab: vanishes_on is not None
          and vanishes_on(a) and s(a) != 0 and (a,)),
     ]
-    return lambda a, b, *_: (a, b, a.partial_add(b)), clauses, once
+    return (0, 1), lambda a, b: (a, b, a.partial_add(b)), clauses, once
 
 
 def state_report(
@@ -540,6 +539,8 @@ def extract_morphism(f: Mapping, samples: int = 200, seed: int = 0) -> GroupHom:
     The action on head-zero elements determines h on the positive cone;
     h extends to all of G by h(g) = h(g+) - h(g-).  The extension is then
     matched against the closed hom catalog and validated on samples."""
+    if samples < 1:
+        raise ValueError(f"extract_morphism needs samples >= 1, got {samples}")
     src_la = LexAlgebra.from_algebra(f.source)
     tgt_la = LexAlgebra.from_algebra(f.target)
     if src_la.base != tgt_la.base or not (src_la.zero_offset and tgt_la.zero_offset):

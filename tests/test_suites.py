@@ -53,6 +53,13 @@ def test_zero_samples_are_vacuous(name):
     assert SUITES[name](1).verdict == "pass"
 
 
+@pytest.mark.parametrize("name", SUITES)
+def test_negative_samples_are_refused(name):
+    # a negative count checks nothing, so it must not report "pass"
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        SUITES[name](-3)
+
+
 def test_theorem_suite_sub_verdicts_at_zero_samples():
     rep = theorem_suite(W20, 0)
     assert rep.details["v-state"] == rep.details["vii-quotient"] == "vacuous"
@@ -162,11 +169,11 @@ def _empty_decomposition(monkeypatch) -> list:
     returned collects the witnesses it was built for."""
     built = []
     monkeypatch.setattr(witnesses, "_decomposition_table",
-                        lambda w: built.append(w) or (lambda *p: p, (), ()))
+                        lambda w: built.append(w) or ((0, 1), lambda *p: p, (), ()))
     return built
 
 
-DECOMPOSITION_CLAUSES = {name for name, _ in witnesses._decomposition_table(W20)[1]}
+DECOMPOSITION_CLAUSES = {name for name, _ in witnesses._decomposition_table(W20)[2]}
 
 
 def _shifted_indexer(monkeypatch):
@@ -281,7 +288,7 @@ def _counting_suite(samples: int, seed: int = 5):
         draws.append((rng.randrange(3), rng.randrange(2)))
         return draws[-1]
 
-    table = (lambda *p: p, [("count", lambda *p: checked.append(p))], ())
+    table = ((0, 1), lambda *p: p, [("count", lambda *p: checked.append(p))], ())
     return run_suite("count", samples, seed, draw, [table]), draws, checked
 
 
@@ -299,3 +306,47 @@ def test_run_suite_checks_each_distinct_sample_once(monkeypatch):
     stored = list(dict.fromkeys(draws))[:2]
     assert all(checked.count(p) == 1 for p in stored)
     assert all(checked.count(p) == draws.count(p) > 1 for p in set(draws) - set(stored))
+
+
+def _counting_tables(samples: int, reads: list, seed: int = 5):
+    """run_suite on _counting_suite's draw with one table per entry of
+    reads, each recording the parts its derive receives; returns (report,
+    draws, derived), derived mapping each reads to its list and "order"
+    to the reads of every derive call, in call order."""
+    draws, derived = [], {r: [] for r in reads}
+    derived["order"] = []
+
+    def draw(rng):
+        draws.append((rng.randrange(3), rng.randrange(2)))
+        return draws[-1]
+
+    def derive(r):
+        return lambda *p: derived[r].append(p) or derived["order"].append(r) or p
+
+    tables = [(r, derive(r), [("count", lambda *p: None)], ()) for r in reads]
+    return run_suite("count", samples, seed, draw, tables), draws, derived
+
+
+def test_each_table_skips_the_keys_it_has_passed():
+    rep, draws, derived = _counting_tables(100, [(0,), (), (1, 0)])
+    assert rep.ok and len(draws) == 100 and len({a for a, _ in draws}) == 3
+    # a table that reads the first part is derived once per distinct first
+    # part, and receives that part alone
+    assert sorted(derived[(0,)]) == [(0,), (1,), (2,)]
+    # a table that reads no part runs once per call, at its place in the
+    # first sample
+    assert derived[()] == [()] and derived["order"][:3] == [(0,), (), (1, 0)]
+    # the parts arrive in the order the table reads them
+    assert sorted(derived[(1, 0)]) == sorted({(b, a) for a, b in draws})
+
+
+def test_the_bound_holds_per_table(monkeypatch):
+    monkeypatch.setattr(reports, "SEEN_BOUND", 2)
+    rep, draws, derived = _counting_tables(100, [(0,), (0, 1)])
+    assert rep.ok and len(draws) == 100
+    for r, keys in (((0,), [(a,) for a, _ in draws]), ((0, 1), draws)):
+        # each table stores its own first two keys, and derives every other
+        # key at each draw
+        stored = list(dict.fromkeys(keys))[:2]
+        assert all(derived[r].count(k) == 1 for k in stored), r
+        assert all(derived[r].count(k) == keys.count(k) > 1 for k in set(keys) - set(stored)), r

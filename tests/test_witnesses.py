@@ -265,6 +265,18 @@ def test_quotient_to_base():
     assert quotient_to_base(m2).fn(m2.algebra.elem(((0, 3), -2))).value == (0, 3)
 
 
+def test_quotient_images_match_the_checked_constructors():
+    # quotient_to_base builds its images unchecked: each equals the checked one
+    rng = random.Random(31)
+    for lexalg in (L10, la(gr.Z, 1, ZZ, (0, 0)), la(ZZ, (1, 0), gr.Z, 0)):
+        q, alg, base = quotient_to_base(lexalg), lexalg.algebra, lexalg.base_algebra
+        for _ in range(200):
+            x, t = sample_elem(alg, rng), sample_elem(base, rng)
+            assert q.fn(x) == base.elem(x.value[0]) and q.fn(x).algebra is base
+            assert q.preimage(t) == alg.elem((t.value, lexalg.fiber.ops.zero))
+            assert q.preimage(t).algebra is alg
+
+
 def test_quotient_kernel_is_canonical_ideal():
     q = quotient_to_base(L10)
     rng = random.Random(15)
@@ -344,6 +356,16 @@ def test_functor_lift_values():
     for _ in range(200):
         x = sample_elem(ident.source, rng)
         assert ident.fn(x) == x
+
+
+def test_extraction_needs_at_least_one_probe():
+    # with no probe every candidate matches, so the first (identity) would
+    # be returned unchecked
+    m = lift_morphism(gr.scale_hom(gr.Z, 3), gr.UnitalGroup(gr.Z, 2))
+    assert hom_equal(extract_morphism(m, 1), gr.scale_hom(gr.Z, 3))
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            extract_morphism(m, samples)
 
 
 def test_functor_laws_and_extraction():
