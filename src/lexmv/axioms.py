@@ -36,7 +36,7 @@ def axiom_report(
         ("A2", lambda x: (x.oplus(zero_e) != x or zero_e.oplus(x) != x) and (x,)),
         ("A3", lambda x: (x.oplus(one) != one or one.oplus(x) != one) and (x,)),
     ]
-    a4 = lambda: (one.tilde != zero_e or one.minus != zero_e) and (one,)
+    a4 = [("A4", lambda: (one.tilde != zero_e or one.minus != zero_e) and (one,))]
     pair = [
         ("A5", lambda x, y, a6, a7, xm, xt, ym, yt: xm.oplus(ym).tilde != xt.oplus(yt).minus
          and (x, y)),
@@ -47,18 +47,24 @@ def axiom_report(
         ("A6-join", lambda x, y, a6, *_: a6[0] != x.join(y) and (x, y)),
         ("A7-meet", lambda x, y, a6, a7, *_: a7 != x.meet(y) and (x, y)),
     ]
-    tables = [((0, 1, 2), lambda *p: p, [("A1", a1)], ()), ((0,), lambda *p: p, unary, ()),
-              ((), lambda: (), [("A4", a4)], ()), ((0, 1), derive, pair, ())]
+    tables = [((0, 1, 2), lambda *p: p, [("A1", a1)], a4), ((0,), lambda *p: p, unary, ()),
+              ((0, 1), derive, pair, ())]
     return run_suite("check-axioms", samples, seed, draw, tables,
                      algebra=str(alg), symmetric=alg.is_symmetric())
 
 
 def pea_equivalence_report(alg: PmvAlgebra, samples: int = 1000, seed: int = 0) -> Report:
     """oplus recovered from the partial-sum structure equals oplus."""
+
+    def pea_oplus(x, y):
+        try:
+            return oplus_via_pea(x, y) != x.oplus(y) and (x, y)
+        except ValueError:  # a broken meet puts x /\ y^- above y^-
+            return (x, y)
+
     draw = lambda rng: (sample_elem(alg, rng), sample_elem(alg, rng))
-    clauses = [("pea-oplus", lambda x, y: oplus_via_pea(x, y) != x.oplus(y) and (x, y))]
-    return run_suite("pea-equivalence", samples, seed, draw, [((0, 1), lambda *p: p, clauses, ())],
-                     algebra=str(alg))
+    table = ((0, 1), lambda *p: p, [("pea-oplus", pea_oplus)], ())
+    return run_suite("pea-equivalence", samples, seed, draw, [table], algebra=str(alg))
 
 
 def partial_sum_report(alg: PmvAlgebra, samples: int = 1000, seed: int = 0) -> Report:

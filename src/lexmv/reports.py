@@ -56,10 +56,10 @@ def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Rand
 
     A table's clauses are pure functions of its key, so a key that passed
     in this call cannot fail: the draw still happens (the rng stream stays
-    as it is), but that table's derive and clauses are skipped; a table
-    that reads no part runs in the first sample only.  Each table's set of
-    passed keys lives for this call and stops growing at SEEN_BOUND keys,
-    past which stored keys are still skipped and new ones checked."""
+    as it is), but that table's derive and clauses are skipped.  A law that
+    reads no part is a ``once`` clause, so ``reads`` is never empty.  Each
+    table's set of passed keys lives for this call and stops growing at
+    SEEN_BOUND keys; past it, stored keys are still skipped, new ones checked."""
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     rep = Report(command, "pass", seed=seed, samples=samples)
@@ -69,8 +69,8 @@ def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Rand
             if found:
                 return rep.fail(name, [str(e) for e in found])
     rng = random.Random(seed)
-    # itemgetter returns a bare part for one index, so one index or none takes a slice
-    runs = [(itemgetter(*r) if len(r) > 1 else itemgetter(slice(*r, r[0] + 1) if r else slice(0)),
+    # itemgetter returns a bare part for one index, so one index takes a slice
+    runs = [(itemgetter(*r) if len(r) > 1 else itemgetter(slice(r[0], r[0] + 1)),
              set(), derive, clauses) for r, derive, clauses, _ in tables]
     for _ in range(samples):
         parts = draw(rng)
@@ -91,25 +91,15 @@ def run_suite(command: str, samples: int, seed: int, draw: Callable[[random.Rand
     return rep
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)
-
-
 def canonical_json(report: Report, include_timing: bool = False) -> str:
     payload = {
         "command": report.command,
         "verdict": report.verdict,
         "seed": report.seed,
         "samples": report.samples,
-        "details": _jsonable(report.details),
-        "counterexamples": _jsonable(report.counterexamples),
+        "details": report.details,
+        "counterexamples": report.counterexamples,
     }
     if include_timing:
         payload["elapsed_s"] = report.elapsed
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True, default=str) + "\n"

@@ -160,7 +160,7 @@ def _per_slice(fn: Callable[[object], object]) -> Callable[[object], object]:
 
 
 def _decomposition_table(w: PerfectWitness) -> tuple:
-    """check_decomposition's table, on the parts x, y that lead each draw it joins."""
+    """check_decomposition's table on x, y; each command names their parts."""
     idx = w.indexer
     hs = w.lexalg.base.spec
     h = hs.ops
@@ -194,19 +194,19 @@ def _decomposition_table(w: PerfectWitness) -> tuple:
         ("iv-join", lambda x, y, v, t, *_: idx(x.join(y)) != h.join(v, t) and (x, y)),
         ("iv-meet", lambda x, y, v, t, *_: idx(x.meet(y)) != h.meet(v, t) and (x, y)),
     ]
-    return (0, 1), derive, clauses, ()
+    return derive, clauses, ()
 
 
 def check_decomposition(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -> Report:
     """Definition clauses (a)-(c) plus the partial-sum and lattice slice laws."""
     alg = w.algebra
     draw = lambda rng: (sample_elem(alg, rng), sample_elem(alg, rng))
-    return run_suite("check-decomposition", sample_budget, seed, draw, [_decomposition_table(w)],
-                     algebra=str(alg))
+    return run_suite("check-decomposition", sample_budget, seed, draw,
+                     [((0, 1), *_decomposition_table(w))], algebra=str(alg))
 
 
 def _cyclic_table(w: PerfectWitness) -> tuple:
-    """check_cyclic's table, on the slice indices v and t."""
+    """check_cyclic's table on the slice indices v, t; each command names their parts."""
     alg = w.algebra
     h = w.lexalg.base.spec.ops
     uh = w.lexalg.base.unit
@@ -221,7 +221,7 @@ def _cyclic_table(w: PerfectWitness) -> tuple:
         ("ii-additivity", lambda v, t, cv, ct, vt: h.cmp(vt, uh) <= 0
          and alg.ops.add(cv.value, ct.value) != family(vt).value and (cv, ct)),
     ]
-    return (0, 1), lambda v, t: (v, t, family(v), family(t), h.add(v, t)), clauses, once
+    return lambda v, t: (v, t, family(v), family(t), h.add(v, t)), clauses, once
 
 
 def check_cyclic(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -> Report:
@@ -229,7 +229,7 @@ def check_cyclic(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) ->
     c_v + c_t = c_{v+t}, the origin law c_0 = 0, and c_u = 1 for strong."""
     base_alg = w.lexalg.base_algebra
     draw = lambda rng: (sample_elem(base_alg, rng).value, sample_elem(base_alg, rng).value)
-    return run_suite("check-cyclic", sample_budget, seed, draw, [_cyclic_table(w)],
+    return run_suite("check-cyclic", sample_budget, seed, draw, [((0, 1), *_cyclic_table(w))],
                      algebra=str(w.algebra), kind=w.kind)
 
 
@@ -244,7 +244,7 @@ def check_witness(
         return (sample_elem(alg, rng, bound), sample_elem(alg, rng, bound),
                 sample_elem(base_alg, rng, bound).value, sample_elem(base_alg, rng, bound).value)
 
-    tables = [_decomposition_table(w), ((2, 3), *_cyclic_table(w)[1:])]
+    tables = [((0, 1), *_decomposition_table(w)), ((2, 3), *_cyclic_table(w))]
     rep = run_suite("check-witness", sample_budget, seed, draw, tables, algebra=str(alg))
     if rep.verdict != "fail":
         rep.details["decomposition"] = rep.details["cyclic"] = rep.verdict
@@ -271,15 +271,12 @@ def theorem_suite(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -
         return (sample_elem(alg, rng), sample_elem(alg, rng), sample_zero_slice(alg, rng),
                 sample_zero_slice(alg, rng), sample_elem(la.base_algebra, rng))
 
-    def head(x):
-        ix = w.indexer(x)
-        gr.check_shape(hs, ix)
-        return ix
-
-    def slice_sum(x, t, ix):
+    def slice_sum(x, t):
         # (ii) surjectivity of M_v + M_t onto M_{v+t}: peel c_t off x.
         # Interior slices contain every tail, so x - c_t stays in the
         # interval exactly when 0 < v; v = 0 is the trivial split 0 + x
+        ix = w.indexer(x)
+        gr.check_shape(hs, ix)
         v = h.add(ix, h.neg(t))
         if h.cmp(v, h.zero) <= 0 or h.cmp(ix, uh) >= 0:
             return None
@@ -293,7 +290,10 @@ def theorem_suite(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -
     def normal(x, i):
         # x (+) i = k (+) x and i (+) x = x (+) k2, with k and k2 in M_0
         xi, ix = x.oplus(i), i.oplus(x)
-        k, k2 = left_residual(xi, x), right_residual(ix, x)
+        try:
+            k, k2 = left_residual(xi, x), right_residual(ix, x)
+        except ValueError:  # x above x (+) i or i (+) x: a broken oplus
+            return (x, i)
         return not (in_m0(k) and k.oplus(x) == xi and in_m0(k2) and x.oplus(k2) == ix) and (x, i)
 
     # (vi) M_0 + M_0 = M_0, normality, infinitesimality
@@ -301,27 +301,28 @@ def theorem_suite(w: PerfectWitness, sample_budget: int = 1000, seed: int = 0) -
                and not in_m0(i.partial_add(j)) and (i, j))]
     ideal = [("vi-normal", normal),
              ("vi-infinitesimal", lambda x, i: ord_of(i) is not math.inf and i != zero_e and (i,))]
+    derive, clauses, once = _decomposition_table(w)
     pair = [
-        # (ix) primality of M_0
-        ("ix-prime", lambda x, y, ix: in_m0(x.meet(y)) and not (ix == h.zero or in_m0(y))
+        # (ix) primality of M_0, on the decomposition's indices v of x and t of y
+        ("ix-prime", lambda x, y, v, t, *_: in_m0(x.meet(y)) and not (v == h.zero or t == h.zero)
          and (x, y)),
         # (viii) the indexing is forced: it agrees with the head coordinate
-        ("viii-unique", lambda x, y, ix: ix != x.value[0] and (x,)),
+        ("viii-unique", lambda x, y, v, *_: v != x.value[0] and (x,)),
     ]
-    tables = [_decomposition_table(w),
-              ((0, 4), lambda x, t: (x, t.value, head(x)), [("ii-slice-sum", slice_sum)], ()),
-              ((2, 3), lambda *p: p, closed, ()), ((0, 2), lambda *p: p, ideal, ()),
-              ((0, 1), lambda x, y: (x, y, head(x)), pair, ())]
+    tables = [((0, 1), derive, [*clauses, *pair], once),
+              ((0, 4), lambda x, t: (x, t.value), [("ii-slice-sum", slice_sum)], ()),
+              ((2, 3), lambda *p: p, closed, ()), ((0, 2), lambda *p: p, ideal, ())]
     # (v) and (vii) need the offset-0 form; the state is s0 o head
     skipped = {}
     if not la.zero_offset:
         skipped = dict.fromkeys(("v-state", "vii-quotient"), "skipped: nonzero offset")
     else:
         try:
-            tables.append(_state_table(alg, state_on_lex(la), in_m0))
+            tables.append(((0, 1), *_state_table(alg, state_on_lex(la), in_m0)))
         except UnsupportedBaseError:
             skipped["v-state"] = "skipped: no closed-form base state"
-        tables += _hom_tables(quotient_to_base(la), False, z=4)
+        quotient, onto = _hom_tables(quotient_to_base(la), False)
+        tables += [((0, 1), *quotient), ((4,), *onto)]
     rep = run_suite("theorem-suite", sample_budget, seed, draw, tables, algebra=str(alg), **skipped)
     if rep.verdict != "fail":
         for part in ("v-state", "vii-quotient"):
@@ -374,8 +375,8 @@ def build_phi(w: PerfectWitness) -> Mapping:
     return Mapping(alg, target, fn, preimage, description="phi(x) = (t, x - c_t)")
 
 
-def _hom_tables(m: Mapping, check_injective: bool, z: int = 2) -> list:
-    """verify_hom's tables, on x, y from the source (parts 0, 1) and z from the target."""
+def _hom_tables(m: Mapping, check_injective: bool) -> tuple:
+    """verify_hom's tables on x, y from the source and on z from the target."""
     f = m.fn
     once = [
         ("zero", lambda: f(m.source.zero) != m.target.zero and ("f(0) != 0",)),
@@ -391,8 +392,7 @@ def _hom_tables(m: Mapping, check_injective: bool, z: int = 2) -> list:
         ("injectivity", lambda x, y, fx, fy: check_injective and x != y and fx == fy and (x, y)),
     ]
     onto = [("surjectivity", lambda z: z is not None and f(m.preimage(z)) != z and (z,))]
-    return [((0, 1), lambda x, y: (x, y, f(x), f(y)), clauses, once),
-            ((z,), lambda *p: p, onto, ())]
+    return (lambda x, y: (x, y, f(x), f(y)), clauses, once), (lambda *p: p, onto, ())
 
 
 def verify_hom(
@@ -410,7 +410,8 @@ def verify_hom(
         y = sample_elem(m.source, rng, bound)
         return x, y, sample_elem(m.target, rng, bound) if m.preimage is not None else None
 
-    return run_suite("verify-hom", sample_budget, seed, draw, _hom_tables(m, check_injective),
+    pair, onto = _hom_tables(m, check_injective)
+    return run_suite("verify-hom", sample_budget, seed, draw, [((0, 1), *pair), ((2,), *onto)],
                      surjectivity="checked" if m.preimage is not None else "not-checked",
                      injectivity="checked" if check_injective else "not-checked",
                      map=m.description)
@@ -460,14 +461,14 @@ def state_on_lex(lexalg: LexAlgebra) -> Callable[[PmvElem], Fraction]:
 
 
 def _state_table(alg: PmvAlgebra, s: Callable, vanishes_on: Optional[Callable]) -> tuple:
-    """state_report's table, on the parts a, b that lead each draw it joins."""
+    """state_report's table on a, b; each command names their parts."""
     once = [("normalization", lambda: s(alg.one) != 1 and (alg.one,))]
     clauses = [
         ("additivity", lambda a, b, ab: ab is not None and s(ab) != s(a) + s(b) and (a, b)),
         ("vanishes-on-ideal", lambda a, b, ab: vanishes_on is not None
          and vanishes_on(a) and s(a) != 0 and (a,)),
     ]
-    return (0, 1), lambda a, b: (a, b, a.partial_add(b)), clauses, once
+    return lambda a, b: (a, b, a.partial_add(b)), clauses, once
 
 
 def state_report(
@@ -480,7 +481,8 @@ def state_report(
     """s(1) = 1 and additivity on defined partial sums sampled from alg;
     optionally s(a) = 0 on the samples a with vanishes_on(a), a predicate."""
     draw = lambda rng: (sample_elem(alg, rng), sample_elem(alg, rng))
-    return run_suite("state", sample_budget, seed, draw, [_state_table(alg, s, vanishes_on)])
+    table = ((0, 1), *_state_table(alg, s, vanishes_on))
+    return run_suite("state", sample_budget, seed, draw, [table])
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,20 @@ def test_pea_equivalence_catalog():
         assert rep.ok, (str(a), rep.counterexamples)
 
 
+def test_pea_equivalence_fails_where_a_broken_meet_breaks_the_residual(monkeypatch):
+    # with meet = join, x /\ y^- can lie above y^-, where oplus_via_pea's
+    # residual raises; the suite reports the pair instead of raising
+    a = alg(ZZ, (2, 1))
+    monkeypatch.setattr(a._kernels, "meet", a._kernels.join)
+    with pytest.raises(ValueError):
+        oplus_via_pea(a.elem((2, 0)), a.elem((1, 0)))
+    for seed in (0, 1, 3):
+        rep = pea_equivalence_report(a, 200, seed)
+        assert rep.verdict == "fail" and rep.counterexamples[0]["clause"] == "pea-oplus", seed
+        got, want = under_both_runners(lambda: pea_equivalence_report(a, 200, seed))
+        assert got == want, seed
+
+
 def test_partial_sum_suite_catalog():
     for a in CATALOG:
         rep = partial_sum_report(a, samples=300, seed=3)
@@ -402,6 +416,21 @@ def _minus_off_by_one(a):
 def _minus_by_tilde_formula(a):
     # x^- = -x + u, right for a central unit only
     return a._kernels.tilde
+
+
+def test_broken_a4_fails_at_zero_samples(monkeypatch):
+    # A4 reads no sample, so it runs once before the draws: with x~ = x
+    # (so 1~ = 1) it fails even at zero samples, where the twin, which
+    # checks it per draw, reports vacuous
+    a = SAMPLED_CATALOG["ZxZ21"]
+    monkeypatch.setattr(a._kernels, "tilde", a._kernels.make)
+    for n in (0, 50):
+        rep = axiom_report(a, n)
+        assert rep.verdict == "fail", n
+        assert rep.counterexamples == [{"clause": "A4", "witness": [str(a.one)]}], n
+    assert ref_axiom_report(a, 0).verdict == "vacuous"
+    got, want = under_both_runners(lambda: axiom_report(a, 0))
+    assert got == want
 
 
 # a broken minus kernel, and the seed whose first failing clause is A5 or A8:

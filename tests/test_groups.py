@@ -774,14 +774,15 @@ def test_library_modules_compute_with_the_ops_record():
     run_suite's set of passed samples is never shared across runs.  Each
     caller of a residual keeps one side, so the two-sided residuals stays
     gone.  Only finite._trusted skips FiniteMv's axiom scan, so no module
-    reads an unchecked flag."""
+    reads an unchecked flag.  canonical_json leaves the walk of a report
+    to json, so _jsonable stays gone."""
     checked = {"g_add", "g_cmp", "g_meet", "hom_apply"}
     unchecked = {"_kernels", "_make"}
     retired = {"zero", "g_neg", "g_sub", "g_le", "g_join", "g_nmul", "center_contains",
                "fmt_elem", "base_maximality", "_HOM_VALIDATION_SAMPLES", "hom_equal",
                "ideal_flags", "StateFn", "SymbolicIdeal", "_is_ideal", "is_normal",
                "_is_commutative", "AffNode", "_ARITY", "finite_size", "as_finite",
-               "canonical_lex_ideal", "residuals"}
+               "canonical_lex_ideal", "residuals", "_jsonable"}
     retired_members = {"strong_form", "merge", "unchecked"}
     kind_free = {("dsl.py", "build_elem"), ("dsl.py", "finite"), ("groups.py", "GroupHom")}
     retired_hom_methods = {"_sampled_validation", "_injective", "_null"}
@@ -859,12 +860,15 @@ def test_library_modules_compute_with_the_ops_record():
 
 
 def test_retired_options_stay_gone():
-    """Only the suites the CLI's --bound reaches take a bound, and FiniteMv
-    takes no unchecked switch, so replace cannot copy one past the scan."""
+    """Only the suites the CLI's --bound reaches take a bound, FiniteMv
+    takes no unchecked switch, so replace cannot copy one past the scan,
+    and _hom_tables takes no part index z: each command names the parts
+    of its own draw."""
     suites = [f for mod in (axioms, witnesses) for name, f in vars(mod).items()
               if inspect.isfunction(f) and f.__module__ == mod.__name__ and not name.startswith("_")]
     assert {f.__name__ for f in suites if "bound" in inspect.signature(f).parameters} == {
         "axiom_report", "check_witness", "verify_hom"}
+    assert list(inspect.signature(witnesses._hom_tables).parameters) == ["m", "check_injective"]
     c2 = finite.make_chain(2)
     with pytest.raises(TypeError):
         finite.FiniteMv(c2.size, c2.oplus, c2.neg, c2.zero, c2.one, unchecked=True)

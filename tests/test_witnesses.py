@@ -255,6 +255,20 @@ def test_theorem_suite_catches_each_ideal_break(monkeypatch, law):
     assert got == want, law
 
 
+def test_theorem_suite_fails_where_a_broken_oplus_breaks_a_residual(monkeypatch):
+    # with oplus = meet, x (+) i can lie below x, where vi-normal's left
+    # residual raises; the suite reports (x, i) instead of raising
+    fresh = la(gr.Z, 2, gr.Z, 0)
+    k = fresh.algebra._kernels
+    monkeypatch.setattr(k, "oplus", k.meet)
+    w = canonical_witness(fresh, "strong")
+    for seed in (0, 1, 3):
+        rep = theorem_suite(w, 200, seed)
+        assert rep.verdict == "fail" and rep.counterexamples[0]["clause"] == "vi-normal", seed
+        got, want = under_both_runners(lambda: theorem_suite(w, 200, seed))
+        assert got == want, seed
+
+
 def test_quotient_to_base():
     q = quotient_to_base(L10)
     assert q.fn(L10.algebra.elem((1, -5))).value == 1
